@@ -25,7 +25,6 @@ multilinear extension of its atom-level formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import SchemaError, UnsupportedModelError
 from .grading import SHIFT1, SHIFT2, rearrangement_sign
@@ -49,9 +48,6 @@ from .words import (
     sym_word,
     tpe_to_text,
 )
-
-ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class EnvelopeContext:

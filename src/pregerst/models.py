@@ -1,4 +1,4 @@
-"""Concrete graded algebras plugged into the coalgebraic machinery.
+r"""Concrete graded algebras plugged into the coalgebraic machinery.
 
 An AlgebraModel supplies two bilinear operations on homogeneous atoms, a
 wedge of base degree 0 (the Zinbiel candidate) and a diamond of base degree
@@ -31,13 +31,12 @@ from .errors import SchemaError, UnsupportedModelError
 from .grading import Generator, GeneratorRegistry
 from .mutations import NO_MUTATIONS
 
-ONE = Fraction(1)
-
-# a combo is a dict Generator -> Fraction with no zero entries
+# a combo is a dict Generator -> coefficient (an exact int or Fraction) with no
+# zero entries
 Combo = dict
 
 
-def _combo_add_term(acc: Combo, gen: Generator, coeff: Fraction):
+def _combo_add_term(acc: Combo, gen: Generator, coeff):
     if coeff == 0:
         return
     cur = acc.get(gen)
@@ -51,7 +50,7 @@ def _combo_add_term(acc: Combo, gen: Generator, coeff: Fraction):
             acc[gen] = cur
 
 
-def combo_add(a: Combo, b: Combo, scale=ONE) -> Combo:
+def combo_add(a: Combo, b: Combo, scale=1) -> Combo:
     out = dict(a)
     for g, c in b.items():
         _combo_add_term(out, g, c * scale)
@@ -59,7 +58,8 @@ def combo_add(a: Combo, b: Combo, scale=ONE) -> Combo:
 
 
 def combo_scale(a: Combo, scale) -> Combo:
-    scale = Fraction(scale)
+    if type(scale) is not int:
+        scale = Fraction(scale)
     if scale == 0:
         return {}
     return {g: c * scale for g, c in a.items()}
@@ -246,7 +246,7 @@ class FormsModel(AlgebraModel):
             before = sum(1 for j in dxs if j < i)
             sign = -1 if before & 1 else 1
             new_exps = tuple(x - 1 if j == i - 1 else x for j, x in enumerate(exps))
-            out.append((Fraction(e * sign), (new_exps, tuple(sorted(dxs + (i,))))))
+            out.append((e * sign, (new_exps, tuple(sorted(dxs + (i,))))))
         return out
 
     # -- the model operations --------------------------------------------------
@@ -256,11 +256,14 @@ class FormsModel(AlgebraModel):
         if res is None:
             return {}
         sign, key = res
-        return {self.atom(*key): Fraction(sign)}
+        return {self.atom(*key): sign}
 
     def wedge_atoms(self, a: Generator, b: Generator) -> Combo:
         ka, kb = self.key(a), self.key(b)
-        scale = ONE if self.mutations.wedge_scale_drop else Fraction(1, b.degree)
+        if self.mutations.wedge_scale_drop or b.degree == 1:
+            scale = 1
+        else:
+            scale = Fraction(1, b.degree)
         out = {}
         for dc, dk in self._ext_d(kb):
             res = self._ext_wedge(ka, dk)
@@ -296,9 +299,9 @@ class FormsModel(AlgebraModel):
                 exps[rng.randrange(n)] += 1
             dxs = rng.sample(range(1, n + 1), form_degree)
             coeff = rng.choice([-3, -2, -1, 1, 2, 3])
-            _combo_add_term(out, self.atom(exps, dxs), Fraction(coeff))
+            _combo_add_term(out, self.atom(exps, dxs), coeff)
         if not out:
-            out = {self.atom([0] * n, rng.sample(range(1, n + 1), form_degree)): ONE}
+            out = {self.atom([0] * n, rng.sample(range(1, n + 1), form_degree)): 1}
         return out
 
     def sample_atom(self, rng, form_degree=None, max_poly_degree=3) -> Generator:

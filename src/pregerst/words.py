@@ -10,8 +10,11 @@ factor of odd view-degree (over the rationals x.x = -x.x forces x.x = 0).
 Pair is head-tensor-with-symmetric-tail; an empty Sym tail is legal only
 inside a Pair, where it plays the role of "x tensor 1".
 
-Elements are finite maps word -> Fraction with no zero coefficients; the
-empty map is zero.  TensorPowerElement is the same over k-tuples of words and
+Elements are finite maps word -> coefficient with no zero coefficients; the
+empty map is zero.  A coefficient is an exact int while it is integral and a
+Fraction once a division has made it so; floats never get in, because the
+scalar entry points (single, scaled) pass anything that is not an int through
+Fraction.  TensorPowerElement is the same over k-tuples of words and
 is the codomain of every coproduct and iterated coproduct.
 
 Degrees of composite words per view: a Tensor word sums its legs' deg for the
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import SchemaError, TermBudgetExceeded
 from .grading import (
@@ -36,8 +40,6 @@ from .grading import (
     shuffles,
 )
 from .mutations import NO_MUTATIONS
-
-ONE = Fraction(1)
 
 # Cap on the number of terms any single element or tensor-power element may
 # hold; exceeding it raises TermBudgetExceeded so a run can abort explicitly
@@ -200,6 +202,11 @@ EMPTY_SYM = Sym(())
 # elements
 # ---------------------------------------------------------------------------
 
+def _exact(scalar):
+    """An int stays an int; anything else becomes an exact Fraction."""
+    return scalar if type(scalar) is int else Fraction(scalar)
+
+
 class Element:
     """Finite formal linear combination of words over exact rationals."""
 
@@ -213,8 +220,8 @@ class Element:
         return Element()
 
     @staticmethod
-    def single(word: Word, coeff=ONE) -> "Element":
-        coeff = Fraction(coeff)
+    def single(word: Word, coeff=1) -> "Element":
+        coeff = _exact(coeff)
         if coeff == 0:
             return Element()
         return Element({word: coeff})
@@ -227,7 +234,7 @@ class Element:
             return
         acc = self.terms.get(word)
         if acc is None:
-            self.terms[word] = Fraction(coeff)
+            self.terms[word] = coeff
             if len(self.terms) > _TERM_CAP:
                 raise TermBudgetExceeded(len(self.terms), _TERM_CAP)
         else:
@@ -253,7 +260,7 @@ class Element:
         return Element({w: -c for w, c in self.terms.items()})
 
     def scaled(self, scalar) -> "Element":
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         if scalar == 0:
             return Element()
         return Element({w: c * scalar for w, c in self.terms.items()})
@@ -318,7 +325,7 @@ class TensorPowerElement:
             raise SchemaError("expected %d legs, got %d" % (self.arity, len(legs)))
         acc = self.terms.get(legs)
         if acc is None:
-            self.terms[legs] = Fraction(coeff)
+            self.terms[legs] = coeff
             if len(self.terms) > _TERM_CAP:
                 raise TermBudgetExceeded(len(self.terms), _TERM_CAP)
         else:
@@ -346,7 +353,7 @@ class TensorPowerElement:
         return TensorPowerElement(self.arity, {k: -c for k, c in self.terms.items()})
 
     def scaled(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         if scalar == 0:
             return TensorPowerElement(self.arity)
         return TensorPowerElement(self.arity, {k: c * scalar for k, c in self.terms.items()})
@@ -419,6 +426,17 @@ class TensorPowerElement:
 # signed operations
 # ---------------------------------------------------------------------------
 
+def _placer(perm: Permutation):
+    """The map that puts factor i of a factor tuple in slot perm(i): an
+    itemgetter of, for each slot, the position of the factor landing there."""
+    if len(perm) == 1:
+        return tuple
+    order = [0] * len(perm)
+    for i, s in enumerate(perm.images):
+        order[s - 1] = i
+    return itemgetter(*order)
+
+
 def signed_permute(word: Tensor, perm: Permutation, view: GradingView) -> Element:
     """Signed place permutation: slot i moves to slot perm(i)."""
     factors = word.factors
@@ -426,10 +444,40 @@ def signed_permute(word: Tensor, perm: Permutation, view: GradingView) -> Elemen
         raise ValueError("permutation size %d does not match word length %d" % (len(perm), len(factors)))
     degs = [degree(f, view) for f in factors]
     sign = koszul_sign(degs, perm)
-    placed = [None] * len(factors)
+    return Element.single(Tensor(_placer(perm)(factors)), sign)
+
+
+def _odd_mask(factors, view: GradingView) -> int:
+    """Odd-degree pattern of a word: bit i is set when factor i is odd."""
+    mask = 0
     for i, f in enumerate(factors):
-        placed[perm.images[i] - 1] = f
-    return Element.single(Tensor(placed), sign)
+        if degree(f, view) & 1:
+            mask |= 1 << i
+    return mask
+
+
+def _mask_degrees(n: int, mask: int):
+    return [(mask >> i) & 1 for i in range(n)]
+
+
+@lru_cache(maxsize=None)
+def _shuffle_placers(p: int, q: int):
+    return tuple(_placer(perm) for perm in shuffles(p, q))
+
+
+@lru_cache(maxsize=None)
+def _shuffle_signs(p: int, q: int, mask: int):
+    """Koszul sign of each (p,q)-shuffle, in _shuffle_placers order, for the
+    words whose odd-degree pattern is mask."""
+    degs = _mask_degrees(p + q, mask)
+    return tuple(koszul_sign(degs, perm) for perm in shuffles(p, q))
+
+
+def _add_placed(out: Element, factors: tuple, placers, signs, coeff):
+    """Add coeff * sign * (the placed factors) for each row of the tables."""
+    add = out.add_term
+    for place, sign in zip(placers, signs):
+        add(Tensor(place(factors)), coeff if sign > 0 else -coeff)
 
 
 def shuffle_factors(left, right, view: GradingView, mutations=NO_MUTATIONS) -> Element:
@@ -437,9 +485,10 @@ def shuffle_factors(left, right, view: GradingView, mutations=NO_MUTATIONS) -> E
 
     Empty sides degenerate to the single unshuffled word; with both sides
     empty this is the empty product and the caller must not ask for a word.
+    Unsigned shuffles (a mutation) read the sign table of the all-even pattern.
     """
-    left = list(left)
-    right = list(right)
+    left = tuple(left)
+    right = tuple(right)
     p, q = len(left), len(right)
     factors = left + right
     if p == 0 and q == 0:
@@ -448,25 +497,8 @@ def shuffle_factors(left, right, view: GradingView, mutations=NO_MUTATIONS) -> E
     if p == 0 or q == 0:
         out.add_term(Tensor(factors), 1)
         return out
-    n = p + q
-    odd = [i for i in range(n) if degree(factors[i], view) & 1]
-    unsigned = mutations.shuffle_unsigned
-    for perm in shuffles(p, q):
-        imgs = perm.images
-        if unsigned:
-            sign = 1
-        else:
-            crossings = 0
-            for a in range(len(odd)):
-                pa = imgs[odd[a]]
-                for b in range(a + 1, len(odd)):
-                    if pa > imgs[odd[b]]:
-                        crossings += 1
-            sign = -1 if crossings & 1 else 1
-        placed = [None] * n
-        for i, f in enumerate(factors):
-            placed[imgs[i] - 1] = f
-        out.add_term(Tensor(placed), sign)
+    mask = 0 if mutations.shuffle_unsigned else _odd_mask(factors, view)
+    _add_placed(out, factors, _shuffle_placers(p, q), _shuffle_signs(p, q, mask), 1)
     return out
 
 
@@ -500,37 +532,36 @@ def _mu_table(n: int, mu2_identity: bool):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _mu_placers(n: int, mu2_identity: bool):
+    return tuple(_placer(perm) for perm, _ in _mu_table(n, mu2_identity))
+
+
+@lru_cache(maxsize=None)
+def _mu_signs(n: int, mask: int, mu2_identity: bool):
+    """Sign of each mu_n term, table coefficient times Koszul sign, in
+    _mu_placers order, for the words whose odd-degree pattern is mask."""
+    degs = _mask_degrees(n, mask)
+    return tuple(c * koszul_sign(degs, perm) for perm, c in _mu_table(n, mu2_identity))
+
+
 def mu_word(word: Tensor, view: GradingView, mutations=NO_MUTATIONS) -> Element:
     """Apply mu_n for n = word length; linear combination of same-length words."""
-    factors = word.factors
-    n = len(factors)
-    odd = [i for i in range(n) if degree(factors[i], view) & 1]
-    out = Element()
-    for perm, c in _mu_table(n, mutations.mu2_identity):
-        imgs = perm.images
-        crossings = 0
-        for a in range(len(odd)):
-            pa = imgs[odd[a]]
-            for b in range(a + 1, len(odd)):
-                if pa > imgs[odd[b]]:
-                    crossings += 1
-        placed = [None] * n
-        for i, f in enumerate(factors):
-            placed[imgs[i] - 1] = f
-        out.add_term(Tensor(placed), -c if crossings & 1 else c)
-    return out
+    return mu(len(word.factors), word, view, mutations)
 
 
 def mu(n: int, elem, view: GradingView, mutations=NO_MUTATIONS) -> Element:
     """mu_n on a tensor word or element whose words all have length n."""
     if isinstance(elem, Tensor):
         elem = Element.single(elem)
+    flag = mutations.mu2_identity
+    placers = _mu_placers(n, flag)
     out = Element()
     for w, c in elem.items():
         if not isinstance(w, Tensor) or len(w.factors) != n:
             raise SchemaError("mu_%d needs tensor words of length %d" % (n, n))
-        for w2, c2 in mu_word(w, view, mutations).items():
-            out.add_term(w2, c * c2)
+        factors = w.factors
+        _add_placed(out, factors, placers, _mu_signs(n, _odd_mask(factors, view), flag), c)
     return out
 
 
@@ -691,7 +722,7 @@ def word_to_text(word: Word) -> str:
     return "P(%s; %s)" % (word_to_text(word.head), word_to_text(word.tail))
 
 
-def _coeff_to_text(c: Fraction) -> str:
+def _coeff_to_text(c) -> str:
     return "%d/%d" % (c.numerator, c.denominator)
 
 
@@ -777,7 +808,7 @@ class _Parser:
                 return out
             self.expect("+")
 
-    def parse_rational(self) -> Fraction:
+    def parse_rational(self):
         self.skip_ws()
         start = self.pos
         if self.peek() == "-":
@@ -798,7 +829,7 @@ class _Parser:
             if den == 0:
                 self.error("zero denominator")
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
     def parse_word(self) -> Word:
         self.skip_ws()

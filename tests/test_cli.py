@@ -113,3 +113,10 @@ def test_module_entrypoint_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1/2 * T(a)"
+
+
+def test_verify_with_no_instances_exits_two(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--suite", "mu-shuffle-lemma", "--max-tensor-len", "1"], capsys)
+    assert code == 2
+    assert "summary: 0 pass, 0 fail, 0 abort" in out

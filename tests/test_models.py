@@ -202,3 +202,15 @@ def test_sampler_is_deterministic():
         # integer coefficients; up to three monomial draws may accumulate
         assert all(c.denominator == 1 and abs(c) <= 9 for c in combo.values())
         assert 1 <= len(combo) <= 3
+
+
+def test_module_compiles_with_warnings_as_errors():
+    import warnings
+    from pathlib import Path
+
+    import pregerst.models
+
+    path = Path(pregerst.models.__file__)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(path.read_text(), str(path), "exec")

@@ -82,3 +82,23 @@ def test_text_report_carries_timing_and_summary():
     assert lines[0].startswith("suite zinf-square")
     assert "summary:" in lines[-1]
     assert any("ms" in line for line in lines[1:-1])
+
+
+def test_run_suite_restores_the_term_cap():
+    from pregerst.words import get_term_cap
+    before = get_term_cap()
+    assert before == 10**6
+    run_suite(SuiteConfig("kappa-cojacobi", samples=5, term_cap=50))
+    assert get_term_cap() == before
+
+
+def test_mutation_sanity_runs_on_forms_only():
+    assert SuiteConfig("mutation-sanity").resolved().model == "forms"
+    with pytest.raises(ValueError):
+        SuiteConfig("mutation-sanity", model="formal").resolved()
+
+
+def test_empty_run_has_no_verdict():
+    rep = run_suite(SuiteConfig("mu-shuffle-lemma", max_tensor_len=1))
+    assert rep.records == []
+    assert rep.exit_code() == 2

@@ -7,7 +7,7 @@ Run as:  python3 demos/03_forms_model.py
 import random
 from fractions import Fraction
 
-from pregerst import AxiomId, FormsModel, admit_differential, check_axiom, combo_to_text
+from pregerst import AxiomId, FormsModel, admit_differential, check_axiom, element_to_text
 
 model = FormsModel(2)
 u1 = {model.atom((1, 0), ()): Fraction(1)}
@@ -18,12 +18,12 @@ print("Atoms are polynomial-coefficient form monomials; a k-form has base")
 print("degree k+1, so even the constant function has degree 1.\n")
 
 print("The model wedge divides by the degree of its second argument:")
-print("  u1 ^ u2       =", combo_to_text(model.wedge(u1, u2)))
-print("  u1 ^ (u2 du1) =", combo_to_text(model.wedge(u1, beta)), "   (the 1/2 matters)")
+print("  u1 ^ u2       =", element_to_text(model.wedge(u1, u2)))
+print("  u1 ^ (u2 du1) =", element_to_text(model.wedge(u1, beta)), "   (the 1/2 matters)")
 print("The diamond is the plain exterior product:")
-print("  u1 <> u2      =", combo_to_text(model.diamond(u1, u2)))
-print("  du1 <> du1    =", combo_to_text(model.diamond(
-    {model.atom((0, 0), (1,)): Fraction(1)}, {model.atom((0, 0), (1,)): Fraction(1)})) or "0")
+print("  u1 <> u2      =", element_to_text(model.diamond(u1, u2)))
+print("  du1 <> du1    =", element_to_text(model.diamond(
+    {model.atom((0, 0), (1,)): Fraction(1)}, {model.atom((0, 0), (1,)): Fraction(1)})))
 
 print("\nRunning every axiom on 100 seeded homogeneous triples:")
 rng = random.Random(2024)

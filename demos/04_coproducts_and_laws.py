@@ -8,7 +8,7 @@ from pregerst import (
     SHIFT2,
     Element, Gen, GeneratorRegistry, LawId, Pair, Sym, Tensor,
     check_law, delta_leibniz, delta_perm, element_to_text, kappa,
-    sym_word, tpe_to_text,
+    sym_word,
 )
 from pregerst.mutations import single
 
@@ -18,7 +18,7 @@ a, b, c = (Gen(reg.declare(n, 2)) for n in "abc")
 print("The Leibniz cocrochet cuts a tensor word and antisymmetrises the")
 print("right part with mu:")
 print("  delta(a (x) b (x) c) =")
-for line in tpe_to_text(delta_leibniz(Element.single(Tensor((a, b, c))))).split(" + "):
+for line in element_to_text(delta_leibniz(Element.single(Tensor((a, b, c))))).split(" + "):
     print("    ", line)
 
 print("\nThe permutative coproduct on pair words splits the tail; the second")
@@ -26,12 +26,12 @@ print("leg returns through the symmetric-to-pair embedding:")
 sign, tail = sym_word([Tensor((b,)), Tensor((c,))], SHIFT2)
 e = Element.single(Pair(Tensor((a,)), tail), sign)
 print("  Delta(%s) =" % element_to_text(e))
-for line in tpe_to_text(delta_perm(e)).split(" + "):
+for line in element_to_text(delta_perm(e)).split(" + "):
     print("    ", line)
 
 print("\nThe degree-one cocrochet cuts the head both ways:")
 e2 = Element.single(Pair(Tensor((a, b)), Sym(())))
-print("  kappa(%s) = %s" % (element_to_text(e2), tpe_to_text(kappa(e2))))
+print("  kappa(%s) = %s" % (element_to_text(e2), element_to_text(kappa(e2))))
 
 print("\nEvery law is an exact subtraction of both fully expanded sides.")
 e3 = Element.single(Pair(Tensor((a, b, c)), Sym(())))

@@ -8,7 +8,6 @@ over the rationals: zero tolerance, every defect is an explicit element.
 """
 
 from .cooperations import (
-    CoproductId,
     LawId,
     check_law,
     cocrochet_lie,
@@ -23,7 +22,6 @@ from .envelopes import (
     Coderivation,
     EnvelopeContext,
     check_coderivation,
-    check_prelie_and_derivation,
     check_r2_derivation,
     check_r2_prelie,
     coderivation_m,
@@ -60,7 +58,6 @@ from .models import (
     admit_differential,
     axiom_defect,
     check_axiom,
-    combo_to_text,
 )
 from .mutations import ALL_MUTATION_NAMES, Mutations
 from .suites import SUITE_NAMES, SuiteConfig, VerificationReport, run_suite
@@ -70,7 +67,6 @@ from .words import (
     Pair,
     Sym,
     Tensor,
-    TensorPowerElement,
     Word,
     degree,
     element_to_text,
@@ -83,8 +79,6 @@ from .words import (
     signed_permute,
     sym_product,
     sym_word,
-    tensor_word,
-    tpe_to_text,
     word_to_text,
 )
 

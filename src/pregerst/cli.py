@@ -19,8 +19,6 @@ from .errors import ParseError, SchemaError, TermBudgetExceeded, UnsupportedMode
 from .grading import BASE, SHIFT1, SHIFT2, GeneratorRegistry
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 from .words import (
-    Element,
-    Tensor,
     element_to_text,
     embed_element,
     mu,
@@ -28,7 +26,6 @@ from .words import (
     parse_element,
     shuffle_product,
     sym_product,
-    tpe_to_text,
 )
 
 _VIEWS = {"base": BASE, "deg": SHIFT1, "degp": SHIFT2}
@@ -143,13 +140,7 @@ def _cmd_eval(args) -> int:
             a = normalize(elem, view)
             b = normalize(elem2, view)
             if op == "shuffle":
-                out = Element.zero()
-                for w1, c1 in a.items():
-                    for w2, c2 in b.items():
-                        if not isinstance(w1, Tensor) or not isinstance(w2, Tensor):
-                            raise SchemaError("shuffle expects tensor words")
-                        for w, c in shuffle_product(w1, w2, view).items():
-                            out.add_term(w, c1 * c2 * c)
+                out = a.map_pairs(b, lambda w1, w2: shuffle_product(w1, w2, view))
                 _emit(element_to_text(out), args.out)
             else:
                 _emit(element_to_text(sym_product(a, b, view)), args.out)
@@ -171,7 +162,7 @@ def _cmd_eval(args) -> int:
             "kappa_prime": kappa_prime,
             "cocrochet": cocrochet_lie,
         }
-        _emit(tpe_to_text(coproducts[op](a, view)), args.out)
+        _emit(element_to_text(coproducts[op](a, view)), args.out)
         return 0
     except (ParseError, SchemaError, ValueError, KeyError,
             UnsupportedModelError, TermBudgetExceeded) as exc:

@@ -25,14 +25,15 @@ fully symmetrised triple-cut terms.  Both variants satisfy cosymmetry and
 the three compatibility laws with the permutative coproduct, which do not
 iterate kappa and cannot see the difference.
 
-Every coproduct is linear and returns a TensorPowerElement(2).  Coproduct
-legs that the formulas write as bare symmetric products are materialised as
-pair-word elements via the embedding, so a coproduct on the pair-word space
-really lands in (that space) tensor (that space) and laws can be iterated.
+Every coproduct is linear and returns an Element keyed by pairs of words
+(leg 1, leg 2).  Coproduct legs that the formulas write as bare symmetric
+products are materialised as pair-word elements via the embedding, so a
+coproduct on the pair-word space really lands in (that space) tensor (that
+space) and laws can be iterated.
 
-check_law expands both sides of a law to arity-3 (or 2) tensor powers,
-subtracts, and reports the first nonzero defect exactly.  All voltes are
-Koszul-signed in the law's grading view.
+check_law expands both sides of a law to elements keyed by triples (or
+pairs) of words, subtracts, and reports the first nonzero defect exactly.
+All voltes are Koszul-signed in the law's grading view.
 """
 
 from __future__ import annotations
@@ -46,11 +47,9 @@ from .grading import SHIFT1, SHIFT2, GradingView, rearrangement_sign
 from .mutations import NO_MUTATIONS
 from .words import (
     Element,
-    Gen,
     Pair,
     Sym,
     Tensor,
-    TensorPowerElement,
     degree,
     element_to_text,
     embed_sym_into_pair,
@@ -60,16 +59,7 @@ from .words import (
     is_tensor_of_gens,
     mu_word,
     sym_word,
-    tpe_to_text,
 )
-
-
-class CoproductId(Enum):
-    DELTA_LEIBNIZ = "delta_leibniz"
-    DELTA_COCOM = "delta_cocom"
-    DELTA_PERM = "delta_perm"
-    KAPPA_PRIME = "kappa_prime"
-    KAPPA = "kappa"
 
 
 class LawId(Enum):
@@ -104,9 +94,9 @@ def _ordered_partitions(n, nonempty_first=False, nonempty_second=False):
 # ---------------------------------------------------------------------------
 
 def delta_leibniz(elem: Element, view: GradingView = SHIFT1,
-                  mutations=NO_MUTATIONS) -> TensorPowerElement:
+                  mutations=NO_MUTATIONS) -> Element:
     """Leibniz cocrochet on tensor words; single letters map to zero."""
-    out = TensorPowerElement(2)
+    out = Element()
     for word, coeff in elem.items():
         if not isinstance(word, Tensor):
             raise SchemaError("delta_leibniz expects tensor words")
@@ -120,9 +110,9 @@ def delta_leibniz(elem: Element, view: GradingView = SHIFT1,
     return out
 
 
-def delta_concat(elem: Element) -> TensorPowerElement:
+def delta_concat(elem: Element) -> Element:
     """Plain deconcatenation on tensor words (coassociative, sign-free)."""
-    out = TensorPowerElement(2)
+    out = Element()
     for word, coeff in elem.items():
         if not isinstance(word, Tensor):
             raise SchemaError("delta_concat expects tensor words")
@@ -132,16 +122,16 @@ def delta_concat(elem: Element) -> TensorPowerElement:
     return out
 
 
-def cocrochet_lie(elem: Element, view: GradingView = SHIFT1) -> TensorPowerElement:
+def cocrochet_lie(elem: Element, view: GradingView = SHIFT1) -> Element:
     """Co-commutator (1 - volte) of the deconcatenation; coantisymmetric and
     satisfies coJacobi because deconcatenation is coassociative."""
     d = delta_concat(elem)
     return d - d.volte(0, view)
 
 
-def delta_cocom(elem: Element, view: GradingView) -> TensorPowerElement:
+def delta_cocom(elem: Element, view: GradingView) -> Element:
     """Cocommutative coproduct on symmetric words: signed proper splits."""
-    out = TensorPowerElement(2)
+    out = Element()
     for word, coeff in elem.items():
         if not isinstance(word, Sym):
             raise SchemaError("delta_cocom expects symmetric words")
@@ -158,14 +148,14 @@ def delta_cocom(elem: Element, view: GradingView) -> TensorPowerElement:
 
 
 def delta_perm(elem: Element, view: GradingView = SHIFT2,
-               mutations=NO_MUTATIONS) -> TensorPowerElement:
+               mutations=NO_MUTATIONS) -> Element:
     """Permutative coproduct on pair words.
 
     The tail splits into (I, J) with J nonempty; the head keeps I and the
     second leg is the symmetric word J pushed through the embedding.  A pair
     with an empty tail maps to zero.
     """
-    out = TensorPowerElement(2)
+    out = Element()
     for word, coeff in elem.items():
         if not isinstance(word, Pair):
             raise SchemaError("delta_perm expects pair words")
@@ -194,7 +184,7 @@ def _cut_leg(vpart: Tensor, mu_legs: bool, mutations) -> Element:
 
 
 def kappa_prime_sym(elem: Element, view: GradingView = SHIFT2,
-                    mutations=NO_MUTATIONS, mu_legs: bool = False) -> TensorPowerElement:
+                    mutations=NO_MUTATIONS, mu_legs: bool = False) -> Element:
     """The symmetrised cocrochet, legs kept as raw symmetric words.
 
     For one factor X_s cut as U (x) V, the two legs are the symmetric
@@ -203,7 +193,7 @@ def kappa_prime_sym(elem: Element, view: GradingView = SHIFT2,
     position prefix (-1)^{sum of deg' before s} and a cut sign (-1)^{deg' U}.
     Factors of tensor length one contribute nothing.
     """
-    out = TensorPowerElement(2)
+    out = Element()
     for word, coeff in elem.items():
         if not (isinstance(word, Sym) and all(isinstance(f, Tensor) for f in word.factors)):
             raise SchemaError("kappa_prime expects symmetric words of tensor factors")
@@ -254,10 +244,10 @@ def kappa_prime_sym(elem: Element, view: GradingView = SHIFT2,
 
 
 def kappa_prime(elem: Element, view: GradingView = SHIFT2,
-                mutations=NO_MUTATIONS, mu_legs: bool = False) -> TensorPowerElement:
+                mutations=NO_MUTATIONS, mu_legs: bool = False) -> Element:
     """kappa_prime with both legs materialised as pair-word elements."""
     raw = kappa_prime_sym(elem, view, mutations, mu_legs)
-    out = TensorPowerElement(2)
+    out = Element()
     for (lega, legb), coeff in raw.items():
         for wa, ca in embed_sym_into_pair(lega, view, mutations).items():
             for wb, cb in embed_sym_into_pair(legb, view, mutations).items():
@@ -266,14 +256,14 @@ def kappa_prime(elem: Element, view: GradingView = SHIFT2,
 
 
 def kappa(elem: Element, view: GradingView = SHIFT2,
-          mutations=NO_MUTATIONS, mu_legs: bool = False) -> TensorPowerElement:
+          mutations=NO_MUTATIONS, mu_legs: bool = False) -> Element:
     """Degree-one Leibniz cocrochet on pair words.
 
     Three parts: the head U (x) V splits with legs (U . tail_I, V . tail_J)
     taken in both orders, plus the tail term head (x) kappa_prime(tail).
     A single-generator head with empty tail maps to zero.
     """
-    out = TensorPowerElement(2)
+    out = Element()
     for word, coeff in elem.items():
         if not isinstance(word, Pair) or not isinstance(word.head, Tensor):
             raise SchemaError("kappa expects pair words with tensor heads")
@@ -337,7 +327,7 @@ def kappa(elem: Element, view: GradingView = SHIFT2,
 class LawCheck:
     law: LawId
     input_text: str
-    defect: TensorPowerElement
+    defect: Element
 
     @property
     def ok(self) -> bool:
@@ -345,7 +335,7 @@ class LawCheck:
 
     @property
     def defect_text(self) -> str:
-        return "zero" if self.ok else tpe_to_text(self.defect)
+        return "zero" if self.ok else element_to_text(self.defect)
 
 
 def _as_word_coproduct(cop, view, mutations):
@@ -353,7 +343,7 @@ def _as_word_coproduct(cop, view, mutations):
 
 
 def _law_defect(law: LawId, elem: Element, view: GradingView,
-                mutations=NO_MUTATIONS) -> TensorPowerElement:
+                mutations=NO_MUTATIONS) -> Element:
     if law is LawId.COASSOC:
         d = delta_cocom(elem, view)
         cop = lambda w: delta_cocom(Element.single(w), view)

@@ -18,8 +18,9 @@ through an EnvelopeContext:
   (Q x id + id x Q) o cop) for the degree-one cocrochet.
 
 Signs on the pair-word space are deg' signs; signs inside tensor words are
-deg signs.  The slot maps return combos of atoms, so every operation is the
-multilinear extension of its atom-level formula.
+deg signs.  The slot maps return Elements over atoms, so every operation is
+the multilinear extension of its atom-level formula.  Every checker reports
+its defect through one path, _report.
 """
 
 from __future__ import annotations
@@ -28,15 +29,13 @@ from dataclasses import dataclass
 
 from .errors import SchemaError, UnsupportedModelError
 from .grading import SHIFT1, SHIFT2, rearrangement_sign
-from .models import AlgebraModel, Combo, FormalModel
+from .models import AlgebraModel, FormalModel
 from .mutations import NO_MUTATIONS, Mutations
 from .words import (
     Element,
     Gen,
     Pair,
-    Sym,
     Tensor,
-    TensorPowerElement,
     degree,
     element_to_text,
     is_pair_over_gens,
@@ -46,7 +45,6 @@ from .words import (
     require,
     shuffle_factors,
     sym_word,
-    tpe_to_text,
 )
 
 @dataclass(frozen=True)
@@ -73,13 +71,9 @@ class Coderivation:
         return self.fn(elem)
 
 
-def _deg(gen_word, view):
-    return degree(gen_word, view)
-
-
-def _splice(out: Element, prefix, combo: Combo, suffix, coeff):
-    """Accumulate coeff * (prefix (x) atom (x) suffix) over a slot combo."""
-    for gen, c in combo.items():
+def _splice(out: Element, prefix, atoms: Element, suffix, coeff):
+    """Accumulate coeff * (prefix (x) atom (x) suffix) over a slot element."""
+    for gen, c in atoms.items():
         out.add_term(Tensor(prefix + (Gen(gen),) + suffix), coeff * c)
 
 
@@ -87,21 +81,19 @@ def _splice(out: Element, prefix, combo: Combo, suffix, coeff):
 # the Zinbiel envelope codifferential D on tensor words
 # ---------------------------------------------------------------------------
 
-def _q2_wedge(ctx: EnvelopeContext, a: Gen, b: Gen) -> Combo:
+def _q2_wedge(ctx: EnvelopeContext, a: Gen, b: Gen) -> Element:
     """Binary part (-1)^{deg a} a wedge b (sign dropped under mutation)."""
-    combo = ctx.model.wedge_atoms(a.gen, b.gen)
-    if ctx.mutations.zinf_q2_sign_drop:
-        return combo
-    if _deg(a, SHIFT1) & 1:
-        return {g: -c for g, c in combo.items()}
-    return combo
+    product = ctx.model.wedge_atoms(a.gen, b.gen)
+    if degree(a, SHIFT1) & 1 and not ctx.mutations.zinf_q2_sign_drop:
+        return -product
+    return product
 
 
 def zinfinity_d_word(ctx: EnvelopeContext, word: Tensor) -> Element:
     model = ctx.model
     factors = word.factors
     n = len(factors)
-    degs = [_deg(f, SHIFT1) for f in factors]
+    degs = [degree(f, SHIFT1) for f in factors]
     out = Element.zero()
     # differential at every slot
     if model.has_differential:
@@ -133,23 +125,15 @@ def zinfinity_d(ctx: EnvelopeContext, elem: Element) -> Element:
 # the pre-Lie extension r2 on tensor words
 # ---------------------------------------------------------------------------
 
-def _bracket_atoms(ctx: EnvelopeContext, a: Gen, b: Gen) -> Combo:
+def _bracket_atoms(ctx: EnvelopeContext, a: Gen, b: Gen) -> Element:
     """[a, b] = a<>b - (-1)^{deg a deg b} b<>a (plus under mutation)."""
     model = ctx.model
     first = model.diamond_atoms(a.gen, b.gen)
     second = model.diamond_atoms(b.gen, a.gen)
-    sign = -1 if (_deg(a, SHIFT1) & 1 and _deg(b, SHIFT1) & 1) else 1
+    sign = -1 if (degree(a, SHIFT1) & 1 and degree(b, SHIFT1) & 1) else 1
     if ctx.mutations.r2_bracket_plus:
         sign = -sign
-    out = dict(first)
-    for g, c in second.items():
-        cur = out.get(g)
-        val = (cur if cur is not None else 0) - sign * c
-        if val == 0:
-            out.pop(g, None)
-        else:
-            out[g] = val
-    return out
+    return first - second if sign > 0 else first + second
 
 
 def r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
@@ -157,13 +141,13 @@ def r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     model = ctx.model
     xs, ys = x.factors, y.factors
     p, q = len(xs), len(ys)
-    xdeg = [_deg(f, SHIFT1) for f in xs]
-    ydeg0 = _deg(ys[0], SHIFT1)
+    xdeg = [degree(f, SHIFT1) for f in xs]
+    ydeg0 = degree(ys[0], SHIFT1)
     out = Element.zero()
     # head part: (x_1 <> y_1) against shuffles of the two tails
     pref = -1 if (sum(xdeg[1:]) & 1 and ydeg0 & 1) else 1
     head = model.diamond_atoms(xs[0].gen, ys[0].gen)
-    if head:
+    if not head.is_zero():
         if p + q == 2:
             for g, c in head.items():
                 out.add_term(Tensor((Gen(g),)), pref * c)
@@ -177,7 +161,7 @@ def r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     for k in range(2, p + 1):
         pref = -1 if (sum(xdeg[k:]) & 1 and ydeg0 & 1) else 1
         br = _bracket_atoms(ctx, xs[k - 1], ys[0])
-        if not br:
+        if br.is_zero():
             continue
         prefix = xs[:k - 1]
         rest_left = xs[k:]
@@ -202,18 +186,13 @@ def r2(ctx: EnvelopeContext, x, y) -> Element:
         y = Element.single(y)
     require(x, is_tensor_of_gens, "tensor words over generators")
     require(y, is_tensor_of_gens, "tensor words over generators")
-    out = Element.zero()
-    for wx, cx in x.items():
-        for wy, cy in y.items():
-            for w, c in r2_words(ctx, wx, wy).items():
-                out.add_term(w, cx * cy * c)
-    return out
+    return x.map_pairs(y, lambda wx, wy: r2_words(ctx, wx, wy))
 
 
 def r2_shifted(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     """(-1)^{deg' x} r2(x, y), the once-shifted companion."""
     res = r2_words(ctx, x, y)
-    if _deg(x, SHIFT2) & 1:
+    if degree(x, SHIFT2) & 1:
         return -res
     return res
 
@@ -222,7 +201,7 @@ def l2(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     """Symmetrised shifted extension; graded symmetric in deg'."""
     first = r2_shifted(ctx, x, y)
     second = r2_shifted(ctx, y, x)
-    sign = -1 if (_deg(x, SHIFT2) & 1 and _deg(y, SHIFT2) & 1) else 1
+    sign = -1 if (degree(x, SHIFT2) & 1 and degree(y, SHIFT2) & 1) else 1
     if ctx.mutations.l2_sym_sign_flip:
         sign = -sign
     return first + second.scaled(sign)
@@ -242,8 +221,8 @@ def prelie_envelope_q(ctx: EnvelopeContext, elem: Element) -> Element:
         head = word.head
         tail = word.tail.factors
         n = len(tail)
-        hdeg = _deg(head, SHIFT2)
-        tdegs = [_deg(f, SHIFT2) for f in tail]
+        hdeg = degree(head, SHIFT2)
+        tdegs = [degree(f, SHIFT2) for f in tail]
         # d at the head
         if model.has_differential:
             for g, c in model.differential_atom(head.gen).items():
@@ -295,7 +274,7 @@ def l_infinity_q(ctx: EnvelopeContext, elem: Element) -> Element:
     for word, coeff in elem.items():
         factors = word.factors
         n = len(factors)
-        degs = [_deg(f, SHIFT2) for f in factors]
+        degs = [degree(f, SHIFT2) for f in factors]
         if model.has_differential:
             for i in range(n):
                 eps = -1 if (degs[i] & 1 and sum(degs[:i]) & 1) else 1
@@ -329,12 +308,12 @@ def m_map(ctx: EnvelopeContext, elem: Element) -> Element:
     for word, coeff in elem.items():
         head = word.head
         tail = word.tail.factors
-        x0p = _deg(head, SHIFT2)
+        x0p = degree(head, SHIFT2)
         for w, c in zinfinity_d_word(ctx, head).items():
             out.add_term(Pair(w, word.tail), coeff * c)
         if tail:
             pref = 1 if ctx.mutations.m_tail_sign_drop else (-1 if x0p & 1 else 1)
-            tdegs = [_deg(f, SHIFT2) for f in tail]
+            tdegs = [degree(f, SHIFT2) for f in tail]
             for j in range(len(tail)):
                 eps = -1 if (tdegs[j] & 1 and sum(tdegs[:j]) & 1) else 1
                 rest = tail[:j] + tail[j + 1:]
@@ -355,8 +334,8 @@ def r_map(ctx: EnvelopeContext, elem: Element) -> Element:
         head = word.head
         tail = word.tail.factors
         n = len(tail)
-        x0p = _deg(head, SHIFT2)
-        tdegs = [_deg(f, SHIFT2) for f in tail]
+        x0p = degree(head, SHIFT2)
+        tdegs = [degree(f, SHIFT2) for f in tail]
         for i in range(n):
             eps = -1 if (tdegs[i] & 1 and sum(tdegs[:i]) & 1) else 1
             rest = tail[:i] + tail[i + 1:]
@@ -407,18 +386,9 @@ class DefectReport:
     ok: bool
 
 
-def _report(label, input_text, obj) -> DefectReport:
-    if isinstance(obj, Element):
-        ok = obj.is_zero()
-        text = "zero" if ok else element_to_text(obj)
-    else:
-        ok = obj.is_zero()
-        text = "zero" if ok else tpe_to_text(obj)
-    return DefectReport(label, input_text, text, ok)
-
-
-def check_square_zero(op, elem: Element, label: str) -> DefectReport:
-    return _report(label, element_to_text(elem), op(op(elem)))
+def _report(label, input_text, defect: Element) -> DefectReport:
+    ok = defect.is_zero()
+    return DefectReport(label, input_text, "zero" if ok else element_to_text(defect), ok)
 
 
 def check_coderivation(coproduct, cop_degree: int, q: Coderivation,
@@ -458,15 +428,7 @@ def check_r2_prelie(ctx: EnvelopeContext, x: Element, y: Element,
     rhs = r2(ctx, r2(ctx, x, z), y) - r2(ctx, x, r2(ctx, z, y))
     defect = lhs - rhs.scaled(sign)
     text = "; ".join(element_to_text(e) for e in (x, y, z))
-    return DefectReport("r2-prelie", text, "zero" if defect.is_zero()
-                        else element_to_text(defect), defect.is_zero())
-
-
-def check_prelie_and_derivation(ctx: EnvelopeContext, x: Element, y: Element,
-                                z: Element):
-    """Both halves of the differential pre-Lie claim for the extension: the
-    pre-Lie relation on (x, y, z) and the derivation identity on (x, y)."""
-    return check_r2_prelie(ctx, x, y, z), check_r2_derivation(ctx, x, y)
+    return _report("r2-prelie", text, defect)
 
 
 def check_r2_derivation(ctx: EnvelopeContext, x: Element, y: Element) -> DefectReport:
@@ -478,5 +440,4 @@ def check_r2_derivation(ctx: EnvelopeContext, x: Element, y: Element) -> DefectR
     sign = -1 if dx & 1 else 1
     defect = d(r2(ctx, x, y)) - r2(ctx, d(x), y) - r2(ctx, x, d(y)).scaled(sign)
     text = "; ".join(element_to_text(e) for e in (x, y))
-    return DefectReport("r2-derivation", text, "zero" if defect.is_zero()
-                        else element_to_text(defect), defect.is_zero())
+    return _report("r2-derivation", text, defect)

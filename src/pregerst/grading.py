@@ -74,9 +74,6 @@ class GeneratorRegistry:
         except KeyError:
             raise KeyError("unknown generator %r" % name) from None
 
-    def names(self):
-        return list(self._by_name)
-
     def __contains__(self, name):
         return name in self._by_name
 

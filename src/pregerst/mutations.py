@@ -34,9 +34,6 @@ class Mutations:
     # the symmetric-word-to-pair-word embedding loses its Koszul signs.
     embed_unsigned: bool = False
 
-    def active(self):
-        return [f.name for f in fields(self) if getattr(self, f.name)]
-
 
 NO_MUTATIONS = Mutations()
 

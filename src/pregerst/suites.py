@@ -35,7 +35,7 @@ from .envelopes import (
 )
 from .errors import TermBudgetExceeded
 from .grading import SHIFT1, SHIFT2, GeneratorRegistry
-from .models import AxiomId, FormsModel, check_axiom, combo_to_text
+from .models import AxiomId, FormsModel, axiom_defect, check_axiom
 from .mutations import NO_MUTATIONS, single
 from .words import (
     Element,
@@ -49,7 +49,6 @@ from .words import (
     set_term_cap,
     shuffle_product,
     sym_word,
-    tpe_to_text,
 )
 
 import itertools
@@ -305,11 +304,11 @@ def _axiom_suite(axioms):
             for i in range(config.samples):
                 rng = _rng(config, i, axiom.value)
                 args = _sample_triple(model, rng, config)
-                text = "; ".join(combo_to_text(a) for a in args)
+                text = "; ".join(element_to_text(a) for a in args)
 
                 def thunk(model=model, axiom=axiom, args=args):
                     chk = check_axiom(model, axiom, args)
-                    return chk.ok, "zero" if chk.ok else combo_to_text(chk.defect)
+                    return chk.ok, "zero" if chk.ok else element_to_text(chk.defect)
                 out.append(Instance(axiom.value, text, thunk))
         return out
     return build
@@ -683,12 +682,11 @@ def _build_mutation_sanity(config):
     # once on each side), so the Zinbiel defect is where the scalar matters.
     def wedge_run():
         model3 = FormsModel(3, mutations=single("wedge_scale_drop"))
-        x = {model3.atom((1, 0, 0), ()): 1}
-        y = {model3.atom((0, 1, 0), ()): 1}
-        z = {model3.atom((0, 0, 1), ()): 1}
-        from .models import axiom_defect
+        x = Element.single(model3.atom((1, 0, 0), ()))
+        y = Element.single(model3.atom((0, 1, 0), ()))
+        z = Element.single(model3.atom((0, 0, 1), ()))
         d = axiom_defect(model3, AxiomId.ZINBIEL, [x, y, z])
-        return combo_to_text(d) if d else ""
+        return "" if d.is_zero() else element_to_text(d)
     out.append(Instance("mutation:wedge_scale_drop->zinbiel",
                         "coordinate functions u1,u2,u3", _detects(wedge_run), True))
 

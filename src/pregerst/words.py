@@ -10,23 +10,25 @@ factor of odd view-degree (over the rationals x.x = -x.x forces x.x = 0).
 Pair is head-tensor-with-symmetric-tail; an empty Sym tail is legal only
 inside a Pair, where it plays the role of "x tensor 1".
 
-Elements are finite maps word -> coefficient with no zero coefficients; the
-empty map is zero.  A coefficient is an exact int while it is integral and a
-Fraction once a division has made it so; floats never get in, because the
-scalar entry points (single, scaled) pass anything that is not an int through
-Fraction.  TensorPowerElement is the same over k-tuples of words and
-is the codomain of every coproduct and iterated coproduct.
+Element is the one linear-combination type: a finite map key -> coefficient
+with no zero coefficients, the empty map being zero.  A key is a word, a tuple
+of words (a term of a tensor power, the codomain of every coproduct and
+iterated coproduct; its legs are the tuple's entries) or a model atom (a
+Generator).  A coefficient is an exact int while it is integral and a Fraction
+once a division has made it so; floats never get in, because the scalar entry
+points (single, scaled) pass anything that is not an int through Fraction.
 
 Degrees of composite words per view: a Tensor word sums its legs' deg for the
 SHIFT1 view and subtracts one more for SHIFT2 (the word seen one shift
-deeper); Sym and Pair just sum their children in the given view.
+deeper); Sym and Pair just sum their children in the given view; a model
+atom has its generator's degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import SchemaError, TermBudgetExceeded
 from .grading import (
@@ -41,9 +43,8 @@ from .grading import (
 )
 from .mutations import NO_MUTATIONS
 
-# Cap on the number of terms any single element or tensor-power element may
-# hold; exceeding it raises TermBudgetExceeded so a run can abort explicitly
-# instead of thrashing.
+# Cap on the number of terms any single element may hold; exceeding it raises
+# TermBudgetExceeded so a run can abort explicitly instead of thrashing.
 _TERM_CAP = 10**6
 
 
@@ -156,6 +157,7 @@ def sort_key(word: Word):
 
 
 def degree(word: Word, view: GradingView) -> int:
+    """View-degree of a word, or of a model atom (a Generator)."""
     if type(word) is Gen:
         return word.gen.degree - view.value
     if type(word) is Tensor:
@@ -167,11 +169,9 @@ def degree(word: Word, view: GradingView) -> int:
         return sum(degree(f, view) for f in word.factors)
     if type(word) is Sym:
         return sum(degree(f, view) for f in word.factors)
-    return degree(word.head, view) + degree(word.tail, view)
-
-
-def tensor_word(factors) -> Tensor:
-    return Tensor(factors)
+    if type(word) is Pair:
+        return degree(word.head, view) + degree(word.tail, view)
+    return word.degree_in(view)
 
 
 def sym_word(factors, view: GradingView):
@@ -191,10 +191,6 @@ def sym_word(factors, view: GradingView):
     return sign, Sym(sorted_factors)
 
 
-def pair_word(head: Word, tail: Sym) -> Pair:
-    return Pair(head, tail)
-
-
 EMPTY_SYM = Sym(())
 
 
@@ -208,7 +204,12 @@ def _exact(scalar):
 
 
 class Element:
-    """Finite formal linear combination of words over exact rationals."""
+    """Finite formal linear combination over exact rationals.
+
+    A key is a word, a tuple of words (a term of a tensor power) or a model
+    atom (a Generator).  The leg operations map_leg, cosplit_leg and volte act
+    on tuple keys and reject any key without the leg they touch.
+    """
 
     __slots__ = ("terms",)
 
@@ -220,50 +221,56 @@ class Element:
         return Element()
 
     @staticmethod
-    def single(word: Word, coeff=1) -> "Element":
+    def single(key, coeff=1) -> "Element":
+        out = Element()
         coeff = _exact(coeff)
-        if coeff == 0:
-            return Element()
-        return Element({word: coeff})
+        if coeff != 0:
+            out.terms[key] = coeff
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def add_term(self, word: Word, coeff):
+    def add_term(self, key, coeff):
         if coeff == 0:
             return
-        acc = self.terms.get(word)
+        acc = self.terms.get(key)
         if acc is None:
-            self.terms[word] = coeff
+            self.terms[key] = coeff
             if len(self.terms) > _TERM_CAP:
                 raise TermBudgetExceeded(len(self.terms), _TERM_CAP)
         else:
             acc = acc + coeff
             if acc == 0:
-                del self.terms[word]
+                del self.terms[key]
             else:
-                self.terms[word] = acc
+                self.terms[key] = acc
 
     def __add__(self, other: "Element") -> "Element":
         out = Element(self.terms)
-        for w, c in other.terms.items():
-            out.add_term(w, c)
+        add = out.add_term
+        for k, c in other.terms.items():
+            add(k, c)
         return out
 
     def __sub__(self, other: "Element") -> "Element":
         out = Element(self.terms)
-        for w, c in other.terms.items():
-            out.add_term(w, -c)
+        add = out.add_term
+        for k, c in other.terms.items():
+            add(k, -c)
         return out
 
     def __neg__(self) -> "Element":
-        return Element({w: -c for w, c in self.terms.items()})
+        out = Element()
+        out.terms = {k: -c for k, c in self.terms.items()}
+        return out
 
     def scaled(self, scalar) -> "Element":
         scalar = _exact(scalar)
-        if scalar == 0:
-            return Element()
-        return Element({w: c * scalar for w, c in self.terms.items()})
+        out = Element()
+        if scalar != 0:
+            out.terms = {k: c * scalar for k, c in self.terms.items()}
+        return out
 
     def __eq__(self, other):
         return isinstance(other, Element) and self.terms == other.terms
@@ -284,142 +291,75 @@ class Element:
         return "Element(%s)" % element_to_text(self)
 
     def map_words(self, fn) -> "Element":
-        """Linear extension of fn: Word -> Element."""
+        """Linear extension of fn: key -> Element."""
         out = Element()
-        for w, c in self.terms.items():
-            for w2, c2 in fn(w).terms.items():
-                out.add_term(w2, c * c2)
+        add = out.add_term
+        for k, c in self.terms.items():
+            for k2, c2 in fn(k).terms.items():
+                add(k2, c * c2)
+        return out
+
+    def map_pairs(self, other: "Element", fn) -> "Element":
+        """Extension of fn: (key, key) -> Element, linear in each argument."""
+        out = Element()
+        add = out.add_term
+        right = other.terms.items()
+        for k1, c1 in self.terms.items():
+            for k2, c2 in right:
+                for k3, c3 in fn(k1, k2).terms.items():
+                    add(k3, c1 * c2 * c3)
         return out
 
     def homogeneous_degree(self, view: GradingView):
-        """The common view-degree of all words, or None if mixed or zero."""
-        degs = {degree(w, view) for w in self.terms}
+        """The common view-degree of all keys, or None if mixed or zero."""
+        degs = {degree(k, view) for k in self.terms}
         if len(degs) == 1:
             return degs.pop()
         return None
 
-
-class TensorPowerElement:
-    """Linear combination of k-tuples of words; the codomain of coproducts."""
-
-    __slots__ = ("arity", "terms")
-
-    def __init__(self, arity: int, terms=None):
-        if arity < 1:
-            raise ValueError("arity must be >= 1")
-        self.arity = arity
-        self.terms = dict(terms) if terms else {}
-
-    @staticmethod
-    def zero(arity: int) -> "TensorPowerElement":
-        return TensorPowerElement(arity)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add_term(self, legs, coeff):
-        if coeff == 0:
-            return
-        legs = tuple(legs)
-        if len(legs) != self.arity:
-            raise SchemaError("expected %d legs, got %d" % (self.arity, len(legs)))
-        acc = self.terms.get(legs)
-        if acc is None:
-            self.terms[legs] = coeff
-            if len(self.terms) > _TERM_CAP:
-                raise TermBudgetExceeded(len(self.terms), _TERM_CAP)
-        else:
-            acc = acc + coeff
-            if acc == 0:
-                del self.terms[legs]
-            else:
-                self.terms[legs] = acc
-
-    def __add__(self, other):
-        self._check(other)
-        out = TensorPowerElement(self.arity, self.terms)
-        for legs, c in other.terms.items():
-            out.add_term(legs, c)
-        return out
-
-    def __sub__(self, other):
-        self._check(other)
-        out = TensorPowerElement(self.arity, self.terms)
-        for legs, c in other.terms.items():
-            out.add_term(legs, -c)
-        return out
-
-    def __neg__(self):
-        return TensorPowerElement(self.arity, {k: -c for k, c in self.terms.items()})
-
-    def scaled(self, scalar):
-        scalar = _exact(scalar)
-        if scalar == 0:
-            return TensorPowerElement(self.arity)
-        return TensorPowerElement(self.arity, {k: c * scalar for k, c in self.terms.items()})
-
-    def _check(self, other):
-        if not isinstance(other, TensorPowerElement) or other.arity != self.arity:
-            raise SchemaError("tensor-power arity mismatch")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorPowerElement)
-            and other.arity == self.arity
-            and other.terms == self.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("tensor-power elements are not hashable")
-
-    def items(self):
-        return self.terms.items()
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __repr__(self):
-        return "TensorPowerElement(%d, %s)" % (self.arity, tpe_to_text(self))
-
-    def map_leg(self, leg: int, fn, fn_degree: int, view: GradingView):
+    def map_leg(self, leg: int, fn, fn_degree: int, view: GradingView) -> "Element":
         """Apply the linear map fn (Word -> Element) to one leg, with the
         Koszul sign of carrying a map of the given degree past earlier legs."""
-        out = TensorPowerElement(self.arity)
+        out = Element()
+        add = out.add_term
         for legs, c in self.terms.items():
-            if fn_degree & 1:
-                passed = sum(degree(w, view) for w in legs[:leg])
-                sign = -1 if passed & 1 else 1
-            else:
-                sign = 1
-            image = fn(legs[leg])
-            for w2, c2 in image.terms.items():
-                out.add_term(legs[:leg] + (w2,) + legs[leg + 1:], c * c2 * sign)
+            _require_legs(legs, leg + 1)
+            if fn_degree & 1 and sum(degree(w, view) for w in legs[:leg]) & 1:
+                c = -c
+            before, after = legs[:leg], legs[leg + 1:]
+            for w2, c2 in fn(legs[leg]).terms.items():
+                add(before + (w2,) + after, c * c2)
         return out
 
-    def cosplit_leg(self, leg: int, cop, cop_degree: int, view: GradingView):
-        """Apply the coproduct cop (Word -> TensorPowerElement(2)) to one leg,
-        expanding arity by one, with the same passing-sign convention."""
-        out = TensorPowerElement(self.arity + 1)
+    def cosplit_leg(self, leg: int, cop, cop_degree: int, view: GradingView) -> "Element":
+        """Apply the coproduct cop (Word -> Element over pairs of words) to one
+        leg, one more leg per key, with the same passing-sign convention."""
+        out = Element()
+        add = out.add_term
         for legs, c in self.terms.items():
-            if cop_degree & 1:
-                passed = sum(degree(w, view) for w in legs[:leg])
-                sign = -1 if passed & 1 else 1
-            else:
-                sign = 1
-            image = cop(legs[leg])
-            for split, c2 in image.terms.items():
-                out.add_term(legs[:leg] + split + legs[leg + 1:], c * c2 * sign)
+            _require_legs(legs, leg + 1)
+            if cop_degree & 1 and sum(degree(w, view) for w in legs[:leg]) & 1:
+                c = -c
+            before, after = legs[:leg], legs[leg + 1:]
+            for split, c2 in cop(legs[leg]).terms.items():
+                add(before + split + after, c * c2)
         return out
 
-    def volte(self, leg: int, view: GradingView):
+    def volte(self, leg: int, view: GradingView) -> "Element":
         """Graded swap of legs (leg, leg+1): sign (-1)^{deg(a) deg(b)}."""
-        out = TensorPowerElement(self.arity)
+        out = Element()
         for legs, c in self.terms.items():
+            _require_legs(legs, leg + 2)
             a, b = legs[leg], legs[leg + 1]
             if degree(a, view) & 1 and degree(b, view) & 1:
                 c = -c
             out.add_term(legs[:leg] + (b, a) + legs[leg + 2:], c)
         return out
+
+
+def _require_legs(key, count: int):
+    if type(key) is not tuple or len(key) < count:
+        raise SchemaError("key %r has no leg %d" % (key, count - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +506,8 @@ def mu(n: int, elem, view: GradingView, mutations=NO_MUTATIONS) -> Element:
 
 
 def sym_product(a: Element, b: Element, view: GradingView) -> Element:
-    """Concatenate-then-normalize product on symmetric words; bilinear and
-    graded-commutative in the view grading."""
+    """Concatenate-then-normalize product on symmetric words; linear in each
+    argument and graded-commutative in the view grading."""
     out = Element()
     for w1, c1 in a.items():
         if not isinstance(w1, Sym):
@@ -602,11 +542,7 @@ def embed_sym_into_pair(word: Sym, view: GradingView, mutations=NO_MUTATIONS) ->
 
 
 def embed_element(elem: Element, view: GradingView, mutations=NO_MUTATIONS) -> Element:
-    out = Element()
-    for w, c in elem.items():
-        for w2, c2 in embed_sym_into_pair(w, view, mutations).items():
-            out.add_term(w2, c * c2)
-    return out
+    return elem.map_words(lambda w: embed_sym_into_pair(w, view, mutations))
 
 
 # ---------------------------------------------------------------------------
@@ -722,27 +658,32 @@ def word_to_text(word: Word) -> str:
     return "P(%s; %s)" % (word_to_text(word.head), word_to_text(word.tail))
 
 
-def _coeff_to_text(c) -> str:
-    return "%d/%d" % (c.numerator, c.denominator)
+def _legs_order(legs):
+    return tuple(map(sort_key, legs))
+
+
+def _legs_text(legs) -> str:
+    return " # ".join(map(word_to_text, legs))
 
 
 def element_to_text(elem: Element) -> str:
+    """Canonical text of an element: its terms as 'coeff * key' joined by
+    ' + '.  Word keys sort by sort_key; tuple keys print their legs joined by
+    ' # ' and sort by their legs' sort keys; atom keys print and sort by name."""
     if elem.is_zero():
         return "0"
+    terms = elem.terms
+    first = next(iter(terms))
+    if type(first) is tuple:
+        order, text = _legs_order, _legs_text
+    elif type(first) is Generator:
+        order = text = attrgetter("name")
+    else:
+        order, text = sort_key, word_to_text
     parts = []
-    for w in sorted(elem.terms, key=sort_key):
-        parts.append("%s * %s" % (_coeff_to_text(elem.terms[w]), word_to_text(w)))
-    return " + ".join(parts)
-
-
-def tpe_to_text(tpe: TensorPowerElement) -> str:
-    if tpe.is_zero():
-        return "0"
-    keys = sorted(tpe.terms, key=lambda legs: tuple(sort_key(w) for w in legs))
-    parts = []
-    for legs in keys:
-        body = " # ".join(word_to_text(w) for w in legs)
-        parts.append("%s * %s" % (_coeff_to_text(tpe.terms[legs]), body))
+    for k in sorted(terms, key=order):
+        c = terms[k]
+        parts.append("%d/%d * %s" % (c.numerator, c.denominator, text(k)))
     return " + ".join(parts)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -307,3 +308,39 @@ def test_term_cap_enforced(reg):
                 e.add_term(Tensor(tuple([a] * (i + 1))), 1)
     finally:
         set_term_cap(old)
+
+
+def test_leg_maps_reject_keys_without_the_leg(reg):
+    a, b = gens(reg, [("a", 2), ("b", 3)])
+    ta, tb = Tensor((a,)), Tensor((b,))
+    keep = Element.single
+    split = lambda w: Element.single((w, w))
+    leg_ops = [
+        lambda e, leg: e.volte(leg, SHIFT1),
+        lambda e, leg: e.map_leg(leg, keep, 0, SHIFT1),
+        lambda e, leg: e.cosplit_leg(leg, split, 0, SHIFT1),
+    ]
+    one_leg = Element.single((ta,))
+    word_key = Element.single(Tensor((a, b)))
+    for op in leg_ops:
+        with pytest.raises(SchemaError):
+            op(one_leg, 1)
+        with pytest.raises(SchemaError):
+            op(word_key, 0)
+    # deg(T(a)) = 1 and deg(T(b)) = 2, so the swap carries no sign
+    two_legs = Element.single((ta, tb), 3)
+    assert two_legs.volte(0, SHIFT1) == Element.single((tb, ta), 3)
+    assert two_legs.map_leg(1, keep, 1, SHIFT1) == -two_legs
+    assert two_legs.cosplit_leg(0, split, 0, SHIFT1) == Element.single((ta, ta, tb), 3)
+
+
+def test_element_text_for_each_key_kind(reg):
+    a, b = gens(reg, [("a", 2), ("b", 3)])
+    ta, tb = Tensor((a,)), Tensor((b,))
+    words = Element({tb: 1, ta: -2})
+    assert element_to_text(words) == "-2/1 * T(a) + 1/1 * T(b)"
+    legs = Element({(tb, ta): Fraction(-1, 2), (ta, tb): 1})
+    assert element_to_text(legs) == "1/1 * T(a) # T(b) + -1/2 * T(b) # T(a)"
+    atoms = Element({b.gen: 2, a.gen: Fraction(1, 3)})
+    assert element_to_text(atoms) == "1/3 * a + 2/1 * b"
+    assert element_to_text(Element()) == "0"

@@ -17,13 +17,15 @@ the shape almost every coproduct formula wants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from itertools import combinations
+from typing import NamedTuple
 
 
-class GradingView(Enum):
-    """Selects |x|, deg(x) or deg'(x) for sign purposes."""
+class GradingView(IntEnum):
+    """Selects |x|, deg(x) or deg'(x) for sign purposes.  A view is also the
+    shift it applies (deg = |x| - view) and the index of its entry in a
+    word's cached degrees."""
 
     BASE = 0
     SHIFT1 = 1
@@ -35,15 +37,16 @@ SHIFT1 = GradingView.SHIFT1
 SHIFT2 = GradingView.SHIFT2
 
 
-@dataclass(frozen=True)
-class Generator:
-    """A named homogeneous symbol; degree is the base degree |x|."""
+class Generator(NamedTuple):
+    """A named homogeneous symbol; degree is the base degree |x|.  A named
+    tuple, so that hashing and equality run at C level; it is not a tuple of
+    legs (type(g) is not tuple)."""
 
     name: str
     degree: int
 
     def degree_in(self, view: GradingView) -> int:
-        return self.degree - view.value
+        return self.degree - view
 
     def __repr__(self):
         return "Generator(%r, %d)" % (self.name, self.degree)

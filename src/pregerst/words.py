@@ -18,22 +18,35 @@ Generator).  A coefficient is an exact int while it is integral and a Fraction
 once a division has made it so; floats never get in, because the scalar entry
 points (single, scaled) pass anything that is not an int through Fraction.
 
-Degrees of composite words per view: a Tensor word sums its legs' deg for the
-SHIFT1 view and subtracts one more for SHIFT2 (the word seen one shift
-deeper); Sym and Pair just sum their children in the given view; a model
-atom has its generator's degree.
+Hash-consing.  Words are interned: each constructor looks its children up in
+a per-class table (Gen by its generator's (name, degree)) and returns the one
+live word that has them, building it only when there is none.  So equal words
+are the same object, equality is identity and the hash is the default one,
+and dicts keyed by words or by tuples of words hash and compare at C level.
+The tables hold weak references, so a word dies when nothing else uses it and
+its entry goes with it.  Text output never depends on identity: it sorts by
+sort_key.
+
+Degrees.  A word computes its degree in all three views once, when it is
+built, and degree() reads it as word.degrees[view] (a GradingView is an int).
+A Tensor word sums its legs' deg for the SHIFT1 view, subtracts one more for
+SHIFT2 (the word seen one shift deeper) and sums the legs' |x| for BASE; Sym
+and Pair just sum their children in each view; a model atom has its
+generator's degree.
+
+mu and the shuffle product add their signed terms into a dict keyed by factor
+tuples and build Tensor words only for the terms that survive cancellation.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 
 from .errors import SchemaError, TermBudgetExceeded
 from .grading import (
-    SHIFT1,
-    SHIFT2,
     GradingView,
     Generator,
     Permutation,
@@ -61,42 +74,89 @@ def get_term_cap() -> int:
 # words
 # ---------------------------------------------------------------------------
 
+class _Ref(weakref.ref):
+    """A weak reference to an interned word that remembers its table key."""
+
+    __slots__ = ("key",)
+
+
+def _intern_table():
+    """A table key -> weak reference to the live word with that key, and the
+    function that enters a new word.  A word's entry goes when the word dies."""
+    table = {}
+
+    def forget(ref):
+        # the entry may already name a newer word with the same key
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+    def keep(word, key):
+        ref = _Ref(word, forget)
+        ref.key = key
+        table[key] = ref
+        return word
+    return table, keep
+
+
+_GENS, _keep_gen = _intern_table()
+_TENSORS, _keep_tensor = _intern_table()
+_SYMS, _keep_sym = _intern_table()
+_PAIRS, _keep_pair = _intern_table()
+
+
+def _sum_degrees(factors):
+    """Per-view sums of the factors' cached degrees."""
+    base = shift1 = shift2 = 0
+    for f in factors:
+        d = f.degrees
+        base += d[0]
+        shift1 += d[1]
+        shift2 += d[2]
+    return base, shift1, shift2
+
+
 class Word:
-    __slots__ = ()
+    """An interned word: at most one live word has given children, so
+    equality is identity and the hash is the default one.  degrees holds the
+    word's degree in each view, indexed by the GradingView."""
+
+    __slots__ = ("degrees", "__weakref__")
 
 
 class Gen(Word):
-    __slots__ = ("gen", "_hash")
+    __slots__ = ("gen",)
 
-    def __init__(self, gen: Generator):
-        self.gen = gen
-        self._hash = hash(("g", gen.name))
-
-    def __eq__(self, other):
-        return type(other) is Gen and other.gen == self.gen
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, gen: Generator):
+        ref = _GENS.get(gen)
+        word = ref and ref()
+        if word is not None:
+            return word
+        word = object.__new__(cls)
+        word.gen = gen
+        d = gen.degree
+        word.degrees = (d, d - 1, d - 2)
+        return _keep_gen(word, gen)
 
     def __repr__(self):
         return self.gen.name
 
 
 class Tensor(Word):
-    __slots__ = ("factors", "_hash")
+    __slots__ = ("factors",)
 
-    def __init__(self, factors):
+    def __new__(cls, factors):
         factors = tuple(factors)
+        ref = _TENSORS.get(factors)
+        word = ref and ref()
+        if word is not None:
+            return word
         if not factors:
             raise SchemaError("tensor words need at least one factor")
-        self.factors = factors
-        self._hash = hash(("t", factors))
-
-    def __eq__(self, other):
-        return type(other) is Tensor and other.factors == self.factors
-
-    def __hash__(self):
-        return self._hash
+        base, shift1, _ = _sum_degrees(factors)
+        word = object.__new__(cls)
+        word.factors = factors
+        word.degrees = (base, shift1, shift1 - 1)
+        return _keep_tensor(word, factors)
 
     def __repr__(self):
         return "T(%s)" % ",".join(map(repr, self.factors))
@@ -105,40 +165,41 @@ class Tensor(Word):
 class Sym(Word):
     """Canonically sorted symmetric word.  Build through sym_word()."""
 
-    __slots__ = ("factors", "_hash")
+    __slots__ = ("factors",)
 
-    def __init__(self, factors):
+    def __new__(cls, factors):
         factors = tuple(factors)
-        self.factors = factors
-        self._hash = hash(("s", factors))
-
-    def __eq__(self, other):
-        return type(other) is Sym and other.factors == self.factors
-
-    def __hash__(self):
-        return self._hash
+        ref = _SYMS.get(factors)
+        word = ref and ref()
+        if word is not None:
+            return word
+        word = object.__new__(cls)
+        word.factors = factors
+        word.degrees = _sum_degrees(factors)
+        return _keep_sym(word, factors)
 
     def __repr__(self):
         return "S(%s)" % ",".join(map(repr, self.factors))
 
 
 class Pair(Word):
-    __slots__ = ("head", "tail", "_hash")
+    __slots__ = ("head", "tail")
 
-    def __init__(self, head: Word, tail: Sym):
+    def __new__(cls, head: Word, tail: Sym):
+        key = (head, tail)
+        ref = _PAIRS.get(key)
+        word = ref and ref()
+        if word is not None:
+            return word
         if not isinstance(head, (Gen, Tensor)):
             raise SchemaError("pair head must be a generator or tensor word")
         if not isinstance(tail, Sym):
             raise SchemaError("pair tail must be a symmetric word")
-        self.head = head
-        self.tail = tail
-        self._hash = hash(("p", head, tail))
-
-    def __eq__(self, other):
-        return type(other) is Pair and other.head == self.head and other.tail == self.tail
-
-    def __hash__(self):
-        return self._hash
+        word = object.__new__(cls)
+        word.head = head
+        word.tail = tail
+        word.degrees = _sum_degrees(key)
+        return _keep_pair(word, key)
 
     def __repr__(self):
         return "P(%r; %r)" % (self.head, self.tail)
@@ -157,21 +218,11 @@ def sort_key(word: Word):
 
 
 def degree(word: Word, view: GradingView) -> int:
-    """View-degree of a word, or of a model atom (a Generator)."""
-    if type(word) is Gen:
-        return word.gen.degree - view.value
-    if type(word) is Tensor:
-        total = sum(degree(f, SHIFT1) for f in word.factors)
-        if view is SHIFT2:
-            return total - 1
-        if view is SHIFT1:
-            return total
-        return sum(degree(f, view) for f in word.factors)
-    if type(word) is Sym:
-        return sum(degree(f, view) for f in word.factors)
-    if type(word) is Pair:
-        return degree(word.head, view) + degree(word.tail, view)
-    return word.degree_in(view)
+    """View-degree of a word (its cached entry), or of a model atom (a
+    Generator)."""
+    if type(word) is Generator:
+        return word.degree - view
+    return word.degrees[view]
 
 
 def sym_word(factors, view: GradingView):
@@ -181,12 +232,12 @@ def sym_word(factors, view: GradingView):
     factors = list(factors)
     if not factors:
         return 1, Sym(())
-    order = sorted(range(len(factors)), key=lambda i: sort_key(factors[i]))
-    degs = [degree(f, view) for f in factors]
+    order = sorted(range(len(factors)), key=[sort_key(f) for f in factors].__getitem__)
+    degs = [f.degrees[view] for f in factors]
     sign = rearrangement_sign(degs, order)
     sorted_factors = [factors[i] for i in order]
     for a in range(len(sorted_factors) - 1):
-        if sorted_factors[a] == sorted_factors[a + 1] and degree(sorted_factors[a], view) & 1:
+        if sorted_factors[a] is sorted_factors[a + 1] and sorted_factors[a].degrees[view] & 1:
             return 0, None
     return sign, Sym(sorted_factors)
 
@@ -208,7 +259,8 @@ class Element:
 
     A key is a word, a tuple of words (a term of a tensor power) or a model
     atom (a Generator).  The leg operations map_leg, cosplit_leg and volte act
-    on tuple keys and reject any key without the leg they touch.
+    on tuple keys and reject any key without the leg they touch; + and -
+    reject two nonzero elements whose keys differ in kind.
     """
 
     __slots__ = ("terms",)
@@ -247,6 +299,7 @@ class Element:
                 self.terms[key] = acc
 
     def __add__(self, other: "Element") -> "Element":
+        _check_kinds(self, other)
         out = Element(self.terms)
         add = out.add_term
         for k, c in other.terms.items():
@@ -254,6 +307,7 @@ class Element:
         return out
 
     def __sub__(self, other: "Element") -> "Element":
+        _check_kinds(self, other)
         out = Element(self.terms)
         add = out.add_term
         for k, c in other.terms.items():
@@ -357,6 +411,24 @@ class Element:
         return out
 
 
+def _key_kind(key):
+    """'word', 'atom' or, for a tuple key, its number of legs."""
+    if type(key) is tuple:
+        return len(key)
+    return "atom" if type(key) is Generator else "word"
+
+
+def _check_kinds(a: Element, b: Element):
+    """Refuse a sum of two nonzero elements whose keys differ in kind; one
+    key of each stands for all of its element's keys."""
+    if a.terms and b.terms:
+        ka = _key_kind(next(iter(a.terms)))
+        kb = _key_kind(next(iter(b.terms)))
+        if ka != kb:
+            raise SchemaError("cannot add elements with keys of different kinds: %r and %r"
+                              % (ka, kb))
+
+
 def _require_legs(key, count: int):
     if type(key) is not tuple or len(key) < count:
         raise SchemaError("key %r has no leg %d" % (key, count - 1))
@@ -391,7 +463,7 @@ def _odd_mask(factors, view: GradingView) -> int:
     """Odd-degree pattern of a word: bit i is set when factor i is odd."""
     mask = 0
     for i, f in enumerate(factors):
-        if degree(f, view) & 1:
+        if f.degrees[view] & 1:
             mask |= 1 << i
     return mask
 
@@ -413,11 +485,32 @@ def _shuffle_signs(p: int, q: int, mask: int):
     return tuple(koszul_sign(degs, perm) for perm in shuffles(p, q))
 
 
-def _add_placed(out: Element, factors: tuple, placers, signs, coeff):
-    """Add coeff * sign * (the placed factors) for each row of the tables."""
-    add = out.add_term
-    for place, sign in zip(placers, signs):
-        add(Tensor(place(factors)), coeff if sign > 0 else -coeff)
+def _add_placed(acc: dict, factors: tuple, placers, signs, coeff):
+    """Add coeff * sign * (the placed factors) for each row of the tables to
+    acc, a map from factor tuples to coefficients.  As in Element.add_term,
+    a zero is dropped as it appears and the term cap is checked on each new
+    key."""
+    if not coeff:
+        return
+    get = acc.get
+    values = signs if coeff == 1 and type(coeff) is int else [coeff * sign for sign in signs]
+    check = len(acc) + len(values) > _TERM_CAP     # else no row can reach the cap
+    for place, c in zip(placers, values):
+        key = place(factors)
+        c += get(key, 0)
+        if c:
+            acc[key] = c
+            if check and len(acc) > _TERM_CAP:
+                raise TermBudgetExceeded(len(acc), _TERM_CAP)
+        else:
+            del acc[key]
+
+
+def _tensors(acc: dict) -> Element:
+    """The element whose terms are the tensor words of acc's factor tuples."""
+    out = Element()
+    out.terms = {Tensor(factors): c for factors, c in acc.items()}
+    return out
 
 
 def shuffle_factors(left, right, view: GradingView, mutations=NO_MUTATIONS) -> Element:
@@ -433,13 +526,12 @@ def shuffle_factors(left, right, view: GradingView, mutations=NO_MUTATIONS) -> E
     factors = left + right
     if p == 0 and q == 0:
         raise SchemaError("cannot shuffle two empty words into a tensor word")
-    out = Element()
     if p == 0 or q == 0:
-        out.add_term(Tensor(factors), 1)
-        return out
+        return Element.single(Tensor(factors))
     mask = 0 if mutations.shuffle_unsigned else _odd_mask(factors, view)
-    _add_placed(out, factors, _shuffle_placers(p, q), _shuffle_signs(p, q, mask), 1)
-    return out
+    acc = {}
+    _add_placed(acc, factors, _shuffle_placers(p, q), _shuffle_signs(p, q, mask), 1)
+    return _tensors(acc)
 
 
 def shuffle_product(left: Tensor, right: Tensor, view: GradingView,
@@ -496,13 +588,13 @@ def mu(n: int, elem, view: GradingView, mutations=NO_MUTATIONS) -> Element:
         elem = Element.single(elem)
     flag = mutations.mu2_identity
     placers = _mu_placers(n, flag)
-    out = Element()
+    acc = {}
     for w, c in elem.items():
-        if not isinstance(w, Tensor) or len(w.factors) != n:
+        if type(w) is not Tensor or len(w.factors) != n:
             raise SchemaError("mu_%d needs tensor words of length %d" % (n, n))
         factors = w.factors
-        _add_placed(out, factors, placers, _mu_signs(n, _odd_mask(factors, view), flag), c)
-    return out
+        _add_placed(acc, factors, placers, _mu_signs(n, _odd_mask(factors, view), flag), c)
+    return _tensors(acc)
 
 
 def sym_product(a: Element, b: Element, view: GradingView) -> Element:

@@ -210,3 +210,41 @@ def test_generator_degree_views():
     assert g.degree_in(BASE) == 5
     assert g.degree_in(SHIFT1) == 4
     assert g.degree_in(SHIFT2) == 3
+
+
+def test_generator_is_a_named_tuple_hashed_at_c_level():
+    from pregerst.words import Element, _require_legs, element_to_text
+    from pregerst.errors import SchemaError
+    g = Generator("x", 5)
+    assert repr(g) == "Generator('x', 5)"
+    assert Generator.__hash__ is tuple.__hash__ and Generator.__eq__ is tuple.__eq__
+    assert g == Generator("x", 5) and hash(g) == hash(Generator("x", 5))
+    assert g != Generator("x", 4)
+    # an atom is not a tuple of legs
+    assert type(g) is not tuple
+    with pytest.raises(SchemaError):
+        _require_legs(g, 1)
+    assert element_to_text(Element({g: 2, Generator("w", 1): -1})) == "-1/1 * w + 2/1 * x"
+
+
+def test_degree_reads_no_enum_attribute():
+    import sys
+    from pregerst.grading import BASE, SHIFT1, SHIFT2, GradingView
+    from pregerst.words import Gen, Pair, Sym, Tensor, degree
+    assert (10, 11, 12)[SHIFT2] == 12
+    a = Gen(Generator("a", 3))
+    words = [a, Tensor((a, a)), Sym((a,)), Pair(a, Sym(())), Generator("b", 2)]
+    views = tuple(GradingView)
+    enum_calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith("enum.py"):
+            enum_calls.append(frame.f_code.co_name)
+    sys.setprofile(profile)
+    try:
+        degs = [degree(w, view) for w in words for view in views]
+    finally:
+        sys.setprofile(None)
+    assert not enum_calls
+    assert degs == [3, 2, 1, 6, 4, 3, 3, 2, 1, 3, 2, 1, 2, 1, 0]
+    assert [Generator("b", 2).degree_in(v) for v in (BASE, SHIFT1, SHIFT2)] == [2, 1, 0]

@@ -1,8 +1,18 @@
 """Suite orchestration: determinism, abort handling, exit codes."""
 
+import hashlib
+
 import pytest
 
 from pregerst.suites import SUITE_NAMES, SuiteConfig, run_suite
+
+# SHA-256 of the structured reports of all suites at their defaults (seed 42),
+# in SUITE_NAMES order, as one text: the lines joined by newlines plus a final
+# newline, which is also what
+#   for s in SUITE_NAMES: pregerst verify --suite s --report structured
+# prints.  A change that alters a report on purpose updates this digest and
+# says so; README.md ("Report digest") shows how to recompute it.
+REPORTS_SHA256 = "aa467ce5e86500629a97cf923d6496de1363f8634bde9ae6c9e2bb4454c4aee1"
 
 
 def test_suite_registry_names():
@@ -102,3 +112,11 @@ def test_empty_run_has_no_verdict():
     rep = run_suite(SuiteConfig("mu-shuffle-lemma", max_tensor_len=1))
     assert rep.records == []
     assert rep.exit_code() == 2
+
+
+def test_structured_reports_of_all_suites_are_pinned():
+    lines = []
+    for suite in SUITE_NAMES:
+        lines.extend(run_suite(SuiteConfig(suite)).structured_lines())
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORTS_SHA256

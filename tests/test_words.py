@@ -344,3 +344,21 @@ def test_element_text_for_each_key_kind(reg):
     atoms = Element({b.gen: 2, a.gen: Fraction(1, 3)})
     assert element_to_text(atoms) == "1/3 * a + 2/1 * b"
     assert element_to_text(Element()) == "0"
+
+
+def test_sums_refuse_keys_of_different_kinds(reg):
+    a, b = gens(reg, [("a", 2), ("b", 3)])
+    ta, tb = Tensor((a,)), Tensor((b,))
+    word = Element.single(ta)
+    pair = Element.single((ta, tb))
+    triple = Element.single((ta, tb, ta))
+    atom = Element.single(a.gen)
+    for x, y in [(word, pair), (pair, triple), (word, atom), (atom, pair)]:
+        with pytest.raises(SchemaError):
+            x + y
+        with pytest.raises(SchemaError):
+            y - x
+    # zero takes any kind, and keys of one kind add as before
+    assert word + Element() == word and Element() - pair == -pair
+    assert pair + Element.single((tb, ta)) == Element({(ta, tb): 1, (tb, ta): 1})
+    assert (word - Element.single(Tensor((a, b)))).words() == [ta, Tensor((a, b))]

@@ -34,12 +34,20 @@ space) and laws can be iterated.
 check_law expands both sides of a law to elements keyed by triples (or
 pairs) of words, subtracts, and reports the first nonzero defect exactly.
 All voltes are Koszul-signed in the law's grading view.
+
+delta_perm, kappa_prime_sym and kappa assume that the symmetric words they
+split are in canonical order: the parts of a canonical tail are canonical
+words as they stand, and a cut-off part joins one through sym_insert.  Each
+checks that once per input word and normalizes an input that is not
+canonical.  Their Koszul signs come from tables cached per odd-degree
+pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import SchemaError
@@ -53,12 +61,14 @@ from .words import (
     degree,
     element_to_text,
     embed_sym_into_pair,
+    is_canonical,
     is_pair_over_gens,
     is_pair_over_tensors,
     is_sym_of,
     is_tensor_of_gens,
     mu_word,
-    sym_word,
+    normalize_word,
+    sym_insert,
 )
 
 
@@ -87,6 +97,61 @@ def _ordered_partitions(n, nonempty_first=False, nonempty_second=False):
             taken = set(left)
             right = tuple(i for i in idx if i not in taken)
             yield left, right
+
+
+# The sign tables below are built once per odd-degree pattern: parities[i] is
+# 1 when factor i has odd view-degree, and a Koszul sign reads nothing else.
+
+@lru_cache(maxsize=None)
+def _split_table(parities, nonempty_first=False, nonempty_second=False):
+    """(I, J, sign of the order I + J) for each ordered split."""
+    return tuple((left, right, rearrangement_sign(parities, left + right))
+                 for left, right in _ordered_partitions(
+                     len(parities), nonempty_first, nonempty_second))
+
+
+@lru_cache(maxsize=None)
+def _head_cut_table(parities):
+    """For kappa's head cut, on the sequence (U, V, tail): (I, J, sign of
+    (U, tail_I, V, tail_J), sign of (V, tail_J, U, tail_I)) for each split
+    (I, J) of the tail."""
+    out = []
+    for left, right in _ordered_partitions(len(parities) - 2):
+        tail_i = tuple(2 + i for i in left)
+        tail_j = tuple(2 + j for j in right)
+        out.append((left, right,
+                    rearrangement_sign(parities, (0,) + tail_i + (1,) + tail_j),
+                    rearrangement_sign(parities, (1,) + tail_j + (0,) + tail_i)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _factor_cut_table(parities, s):
+    """For kappa_prime's cut of factor s into (U, V), on the factors with X_s
+    replaced by U, V (so U sits at s and V at s + 1): (I, J, sign of
+    (X_I, U, V, X_J), sign of (X_I, V, U, X_J)) for each split (I, J) of the
+    other factors, I and J given as factor indices."""
+    n = len(parities) - 1
+    others = [i for i in range(n) if i != s]
+    out = []
+    for left, right in _ordered_partitions(n - 1):
+        idx_left = tuple(others[i] for i in left)
+        idx_right = tuple(others[j] for j in right)
+        pos_left = tuple(i if i < s else i + 1 for i in idx_left)
+        pos_right = tuple(j if j < s else j + 1 for j in idx_right)
+        out.append((idx_left, idx_right,
+                    rearrangement_sign(parities, pos_left + (s, s + 1) + pos_right),
+                    rearrangement_sign(parities, pos_left + (s + 1, s) + pos_right)))
+    return tuple(out)
+
+
+def _canonical_term(word, coeff, factors, view):
+    """(word, coeff) when the symmetric factors it splits are in canonical
+    order, else the normal form of coeff * word, (None, 0) if that is zero."""
+    if is_canonical(factors, view):
+        return word, coeff
+    sign, word = normalize_word(word, view)
+    return word, coeff * sign
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +201,8 @@ def delta_cocom(elem: Element, view: GradingView) -> Element:
         if not isinstance(word, Sym):
             raise SchemaError("delta_cocom expects symmetric words")
         factors = word.factors
-        degs = [degree(f, view) for f in factors]
-        for left, right in _ordered_partitions(len(factors), True, True):
-            sign = rearrangement_sign(degs, left + right)
+        parities = tuple(f.degrees[view] & 1 for f in factors)
+        for left, right, sign in _split_table(parities, True, True):
             out.add_term(
                 (Sym(tuple(factors[i] for i in left)),
                  Sym(tuple(factors[j] for j in right))),
@@ -159,10 +223,12 @@ def delta_perm(elem: Element, view: GradingView = SHIFT2,
     for word, coeff in elem.items():
         if not isinstance(word, Pair):
             raise SchemaError("delta_perm expects pair words")
+        word, coeff = _canonical_term(word, coeff, word.tail.factors, view)
+        if word is None:
+            continue
         factors = word.tail.factors
-        degs = [degree(f, view) for f in factors]
-        for left, right in _ordered_partitions(len(factors), nonempty_second=True):
-            sign = rearrangement_sign(degs, left + right)
+        parities = tuple(f.degrees[view] & 1 for f in factors)
+        for left, right, sign in _split_table(parities, nonempty_second=True):
             leg1 = Pair(word.head, Sym(tuple(factors[i] for i in left)))
             leg2_sym = Sym(tuple(factors[j] for j in right))
             for w, c in embed_sym_into_pair(leg2_sym, view, mutations).items():
@@ -197,47 +263,40 @@ def kappa_prime_sym(elem: Element, view: GradingView = SHIFT2,
     for word, coeff in elem.items():
         if not (isinstance(word, Sym) and all(isinstance(f, Tensor) for f in word.factors)):
             raise SchemaError("kappa_prime expects symmetric words of tensor factors")
+        word, coeff = _canonical_term(word, coeff, word.factors, view)
+        if word is None:
+            continue
         factors = word.factors
-        n = len(factors)
-        degs = [degree(f, view) for f in factors]
-        for s in range(n):
+        parities = tuple(f.degrees[view] & 1 for f in factors)
+        for s in range(len(factors)):
             if len(factors[s].factors) < 2:
                 continue
             if mutations.kappa_prime_prefix_drop:
                 prefix = 1
             else:
-                prefix = -1 if sum(degs[:s]) & 1 else 1
-            others = [i for i in range(n) if i != s]
+                prefix = -1 if sum(parities[:s]) & 1 else 1
             for upart, vpart in _cuts(factors[s]):
-                up = degree(upart, view)
-                vp = degree(vpart, view)
-                cut_sign = -1 if up & 1 else 1
+                up = upart.degrees[view] & 1
+                cut_sign = -1 if up else 1
                 mu_v = _cut_leg(vpart, mu_legs, mutations)
-                # degree sequence with X_s replaced by the two halves
-                ext = degs[:s] + [up, vp] + degs[s + 1:]
-                pos = lambda i: i if i < s else i + 1
-                for left, right in _ordered_partitions(len(others)):
-                    idx_left = [others[i] for i in left]
-                    idx_right = [others[j] for j in right]
-                    order_uv = [pos(i) for i in idx_left] + [s, s + 1] + [pos(j) for j in idx_right]
-                    order_vu = [pos(i) for i in idx_left] + [s + 1, s] + [pos(j) for j in idx_right]
-                    sign_uv = rearrangement_sign(ext, order_uv)
-                    sign_vu = rearrangement_sign(ext, order_vu)
-                    left_words = [factors[i] for i in idx_left]
-                    right_words = [factors[j] for j in idx_right]
+                # parities with X_s replaced by the two halves
+                ext = parities[:s] + (up, vpart.degrees[view] & 1) + parities[s + 1:]
+                for idx_left, idx_right, sign_uv, sign_vu in _factor_cut_table(ext, s):
+                    left_words = tuple(factors[i] for i in idx_left)
+                    right_words = tuple(factors[j] for j in idx_right)
                     base = coeff * prefix * cut_sign
                     # (X_I . U) (x) (mu V . X_J)
-                    sa, lega = sym_word(left_words + [upart], view)
+                    sa, lega = sym_insert(upart, left_words, view, False)
                     if lega is not None:
                         for w, c in mu_v.items():
-                            sb, legb = sym_word([w] + right_words, view)
+                            sb, legb = sym_insert(w, right_words, view, True)
                             if legb is not None:
                                 out.add_term((lega, legb), base * sign_uv * sa * sb * c)
                     # (X_I . mu V) (x) (U . X_J)
-                    sb, legb = sym_word([upart] + right_words, view)
+                    sb, legb = sym_insert(upart, right_words, view, True)
                     if legb is not None:
                         for w, c in mu_v.items():
-                            sa, lega = sym_word(left_words + [w], view)
+                            sa, lega = sym_insert(w, left_words, view, False)
                             if lega is not None:
                                 out.add_term((lega, legb), base * sign_vu * sa * sb * c)
     return out
@@ -267,48 +326,43 @@ def kappa(elem: Element, view: GradingView = SHIFT2,
     for word, coeff in elem.items():
         if not isinstance(word, Pair) or not isinstance(word.head, Tensor):
             raise SchemaError("kappa expects pair words with tensor heads")
+        word, coeff = _canonical_term(word, coeff, word.tail.factors, view)
+        if word is None:
+            continue
         head = word.head
         tail = word.tail.factors
-        n = len(tail)
-        tdegs = [degree(f, view) for f in tail]
+        tparities = tuple(f.degrees[view] & 1 for f in tail)
         for upart, vpart in _cuts(head):
-            up = degree(upart, view)
-            vp = degree(vpart, view)
+            up = upart.degrees[view] & 1
             if mutations.kappa_head_sign_drop:
                 cut_sign = 1
             else:
-                cut_sign = -1 if up & 1 else 1
+                cut_sign = -1 if up else 1
             mu_v = _cut_leg(vpart, mu_legs, mutations)
-            ext = [up, vp] + tdegs
-            for left, right in _ordered_partitions(n):
-                order_uv = [0] + [2 + i for i in left] + [1] + [2 + j for j in right]
-                order_vu = [1] + [2 + j for j in right] + [0] + [2 + i for i in left]
-                sign_uv = rearrangement_sign(ext, order_uv)
-                sign_vu = rearrangement_sign(ext, order_vu)
-                left_words = [tail[i] for i in left]
-                right_words = [tail[j] for j in right]
+            ext = (up, vpart.degrees[view] & 1) + tparities
+            for left, right, sign_uv, sign_vu in _head_cut_table(ext):
+                # sub-tails of a canonical tail are canonical
+                left_words = tuple(tail[i] for i in left)
+                right_words = tuple(tail[j] for j in right)
                 base = coeff * cut_sign
                 # (U (x) tail_I) (x) embed(mu V . tail_J)
-                sa, tail_i = sym_word(left_words, view)
-                if tail_i is not None:
-                    leg1 = Pair(upart, tail_i)
-                    for w, c in mu_v.items():
-                        sb, prod = sym_word([w] + right_words, view)
-                        if prod is None:
-                            continue
-                        for pw, pc in embed_sym_into_pair(prod, view, mutations).items():
-                            out.add_term((leg1, pw), base * sign_uv * sa * sb * c * pc)
+                leg1 = Pair(upart, Sym(left_words))
+                for w, c in mu_v.items():
+                    sb, prod = sym_insert(w, right_words, view, True)
+                    if prod is None:
+                        continue
+                    for pw, pc in embed_sym_into_pair(prod, view, mutations).items():
+                        out.add_term((leg1, pw), base * sign_uv * sb * c * pc)
                 # (mu V (x) tail_J) (x) embed(U . tail_I)
-                sb, tail_j = sym_word(right_words, view)
-                if tail_j is not None:
-                    sa, prod = sym_word([upart] + left_words, view)
-                    if prod is not None:
-                        emb = list(embed_sym_into_pair(prod, view, mutations).items())
-                        for w, c in mu_v.items():
-                            leg1 = Pair(w, tail_j)
-                            for pw, pc in emb:
-                                out.add_term((leg1, pw), base * sign_vu * sa * sb * c * pc)
-        if n >= 1:
+                tail_j = Sym(right_words)
+                sa, prod = sym_insert(upart, left_words, view, True)
+                if prod is not None:
+                    emb = list(embed_sym_into_pair(prod, view, mutations).items())
+                    for w, c in mu_v.items():
+                        leg1 = Pair(w, tail_j)
+                        for pw, pc in emb:
+                            out.add_term((leg1, pw), base * sign_vu * sa * c * pc)
+        if tail:
             x0p = degree(head, view)
             tail_sign = -1 if x0p & 1 else 1
             inner = kappa_prime_sym(Element.single(word.tail), view, mutations, mu_legs)

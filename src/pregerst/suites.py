@@ -225,6 +225,10 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
             except TermBudgetExceeded as exc:
                 status = "abort"
                 defect_text = str(exc)
+            except Exception as exc:
+                # one bad instance is recorded and the run goes on
+                status = "abort"
+                defect_text = "error: %s: %s" % (type(exc).__name__, exc)
             ms = (time.monotonic() - t0) * 1000.0
             report.records.append(InstanceRecord(
                 idx, inst.check_id, status, inst.input_text, defect_text, ms, inst.note))

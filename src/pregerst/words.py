@@ -27,6 +27,16 @@ The tables hold weak references, so a word dies when nothing else uses it and
 its entry goes with it.  Text output never depends on identity: it sorts by
 sort_key.
 
+Sort keys.  sort_key computes a word's key from its children's keys the first
+time it is asked and caches it in the word's key slot; a word that is never
+sorted or printed never gets one, so building words costs nothing extra.
+sym_word and element_to_text read the cached keys.  sym_insert puts one new
+factor into factors already in canonical order: it walks to the factor's slot
+by key and signs the factors it passes, with no sort.  is_canonical tells
+whether sym_word would leave factors as they are; the coproducts check their
+inputs with it and normalize any that fail, because their shortcuts assume
+canonical tails.
+
 Degrees.  A word computes its degree in all three views once, when it is
 built, and degree() reads it as word.degrees[view] (a GradingView is an int).
 A Tensor word sums its legs' deg for the SHIFT1 view, subtracts one more for
@@ -118,9 +128,10 @@ def _sum_degrees(factors):
 class Word:
     """An interned word: at most one live word has given children, so
     equality is identity and the hash is the default one.  degrees holds the
-    word's degree in each view, indexed by the GradingView."""
+    word's degree in each view, indexed by the GradingView; key holds its
+    sort key once sort_key has computed it, and is unset until then."""
 
-    __slots__ = ("degrees", "__weakref__")
+    __slots__ = ("degrees", "key", "__weakref__")
 
 
 class Gen(Word):
@@ -163,7 +174,8 @@ class Tensor(Word):
 
 
 class Sym(Word):
-    """Canonically sorted symmetric word.  Build through sym_word()."""
+    """Canonically sorted symmetric word.  Build through sym_word() or
+    sym_insert()."""
 
     __slots__ = ("factors",)
 
@@ -207,14 +219,22 @@ class Pair(Word):
 
 def sort_key(word: Word):
     """Total order on words: recursive lexicographic on (variant tag, name,
-    children).  Independent of degrees, so equal words are always adjacent."""
+    children).  Independent of degrees, so equal words are always adjacent.
+    Computed on first use and cached on the word."""
+    try:
+        return word.key
+    except AttributeError:
+        pass
     if type(word) is Gen:
-        return (0, word.gen.name)
-    if type(word) is Tensor:
-        return (1, tuple(sort_key(f) for f in word.factors))
-    if type(word) is Sym:
-        return (2, tuple(sort_key(f) for f in word.factors))
-    return (3, sort_key(word.head), sort_key(word.tail))
+        key = (0, word.gen.name)
+    elif type(word) is Tensor:
+        key = (1, tuple(map(sort_key, word.factors)))
+    elif type(word) is Sym:
+        key = (2, tuple(map(sort_key, word.factors)))
+    else:
+        key = (3, sort_key(word.head), sort_key(word.tail))
+    word.key = key
+    return key
 
 
 def degree(word: Word, view: GradingView) -> int:
@@ -232,7 +252,7 @@ def sym_word(factors, view: GradingView):
     factors = list(factors)
     if not factors:
         return 1, Sym(())
-    order = sorted(range(len(factors)), key=[sort_key(f) for f in factors].__getitem__)
+    order = sorted(range(len(factors)), key=list(map(sort_key, factors)).__getitem__)
     degs = [f.degrees[view] for f in factors]
     sign = rearrangement_sign(degs, order)
     sorted_factors = [factors[i] for i in order]
@@ -240,6 +260,41 @@ def sym_word(factors, view: GradingView):
         if sorted_factors[a] is sorted_factors[a + 1] and sorted_factors[a].degrees[view] & 1:
             return 0, None
     return sign, Sym(sorted_factors)
+
+
+def sym_insert(word: Word, rest: tuple, view: GradingView, front: bool):
+    """sym_word([word, *rest]) when front, else sym_word([*rest, word]), for
+    factors rest already in canonical order: word goes into its slot, found
+    by sort key (before equal keys from the front, after them from the back),
+    with the sign of passing the factors it crosses."""
+    key = sort_key(word)
+    n = len(rest)
+    i = 0
+    if front:
+        while i < n and sort_key(rest[i]) < key:
+            i += 1
+        passed = rest[:i]
+    else:
+        while i < n and not key < sort_key(rest[i]):
+            i += 1
+        passed = rest[i:]
+    sign = 1
+    if word.degrees[view] & 1:
+        if (i and rest[i - 1] is word) or (i < n and rest[i] is word):
+            return 0, None
+        for f in passed:
+            if f.degrees[view] & 1:
+                sign = -sign
+    return sign, Sym(rest[:i] + (word,) + rest[i:])
+
+
+def is_canonical(factors, view: GradingView) -> bool:
+    """Whether sym_word leaves these factors as they are: sort keys never
+    decrease and no factor of odd view-degree sits next to itself."""
+    for a, b in zip(factors, factors[1:]):
+        if sort_key(b) < sort_key(a) or (a is b and a.degrees[view] & 1):
+            return False
+    return True
 
 
 EMPTY_SYM = Sym(())
@@ -266,7 +321,16 @@ class Element:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
+        """The element of a mapping key -> coefficient: zero coefficients
+        are dropped, and keys of different kinds are refused."""
+        if not terms:
+            self.terms = {}
+            return
+        self.terms = {k: c for k, c in dict(terms).items() if c != 0}
+        kinds = {_key_kind(k) for k in self.terms}
+        if len(kinds) > 1:
+            raise SchemaError("an element's keys must all be of one kind, not %s"
+                              % sorted(map(repr, kinds)))
 
     @staticmethod
     def zero() -> "Element":
@@ -300,7 +364,8 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         _check_kinds(self, other)
-        out = Element(self.terms)
+        out = Element()
+        out.terms = dict(self.terms)
         add = out.add_term
         for k, c in other.terms.items():
             add(k, c)
@@ -308,7 +373,8 @@ class Element:
 
     def __sub__(self, other: "Element") -> "Element":
         _check_kinds(self, other)
-        out = Element(self.terms)
+        out = Element()
+        out.terms = dict(self.terms)
         add = out.add_term
         for k, c in other.terms.items():
             add(k, -c)
@@ -373,29 +439,41 @@ class Element:
 
     def map_leg(self, leg: int, fn, fn_degree: int, view: GradingView) -> "Element":
         """Apply the linear map fn (Word -> Element) to one leg, with the
-        Koszul sign of carrying a map of the given degree past earlier legs."""
+        Koszul sign of carrying a map of the given degree past earlier legs.
+        fn runs once per distinct leg word in this call."""
         out = Element()
         add = out.add_term
+        images = {}      # leg word -> terms of its image, for this call only
         for legs, c in self.terms.items():
             _require_legs(legs, leg + 1)
             if fn_degree & 1 and sum(degree(w, view) for w in legs[:leg]) & 1:
                 c = -c
             before, after = legs[:leg], legs[leg + 1:]
-            for w2, c2 in fn(legs[leg]).terms.items():
+            w = legs[leg]
+            image = images.get(w)
+            if image is None:
+                image = images[w] = fn(w).terms
+            for w2, c2 in image.items():
                 add(before + (w2,) + after, c * c2)
         return out
 
     def cosplit_leg(self, leg: int, cop, cop_degree: int, view: GradingView) -> "Element":
         """Apply the coproduct cop (Word -> Element over pairs of words) to one
-        leg, one more leg per key, with the same passing-sign convention."""
+        leg, one more leg per key, with the same passing-sign convention.
+        cop runs once per distinct leg word in this call."""
         out = Element()
         add = out.add_term
+        images = {}      # leg word -> terms of its image, for this call only
         for legs, c in self.terms.items():
             _require_legs(legs, leg + 1)
             if cop_degree & 1 and sum(degree(w, view) for w in legs[:leg]) & 1:
                 c = -c
             before, after = legs[:leg], legs[leg + 1:]
-            for split, c2 in cop(legs[leg]).terms.items():
+            w = legs[leg]
+            image = images.get(w)
+            if image is None:
+                image = images[w] = cop(w).terms
+            for split, c2 in image.items():
                 add(before + split + after, c * c2)
         return out
 
@@ -620,16 +698,14 @@ def embed_sym_into_pair(word: Sym, view: GradingView, mutations=NO_MUTATIONS) ->
     factors = word.factors
     if not factors:
         raise SchemaError("cannot embed the empty symmetric word")
-    degs = [degree(f, view) for f in factors]
+    signed = not mutations.embed_unsigned
+    moved = 0      # parity of the odd factors before the head
     out = Element()
-    for h in range(len(factors)):
-        if mutations.embed_unsigned:
-            sign = 1
-        else:
-            moved = sum(1 for i in range(h) if degs[i] & 1)
-            sign = -1 if (degs[h] & 1 and moved & 1) else 1
-        rest = factors[:h] + factors[h + 1:]
-        out.add_term(Pair(factors[h], Sym(rest)), sign)
+    for h, f in enumerate(factors):
+        odd = f.degrees[view] & 1
+        sign = -1 if (signed and odd and moved) else 1
+        moved ^= odd
+        out.add_term(Pair(f, Sym(factors[:h] + factors[h + 1:])), sign)
     return out
 
 
@@ -641,7 +717,7 @@ def embed_element(elem: Element, view: GradingView, mutations=NO_MUTATIONS) -> E
 # normalization of raw input
 # ---------------------------------------------------------------------------
 
-def _rebuild(word: Word, view: GradingView):
+def normalize_word(word: Word, view: GradingView):
     """Recursively canonicalize one word; returns (sign, word or None)."""
     if type(word) is Gen:
         return 1, word
@@ -649,7 +725,7 @@ def _rebuild(word: Word, view: GradingView):
         sign = 1
         parts = []
         for f in word.factors:
-            s, w = _rebuild(f, view)
+            s, w = normalize_word(f, view)
             if w is None:
                 return 0, None
             sign *= s
@@ -659,7 +735,7 @@ def _rebuild(word: Word, view: GradingView):
         sign = 1
         parts = []
         for f in word.factors:
-            s, w = _rebuild(f, view)
+            s, w = normalize_word(f, view)
             if w is None:
                 return 0, None
             sign *= s
@@ -668,10 +744,10 @@ def _rebuild(word: Word, view: GradingView):
         if w is None:
             return 0, None
         return sign * s, w
-    s1, head = _rebuild(word.head, view)
+    s1, head = normalize_word(word.head, view)
     if head is None:
         return 0, None
-    s2, tail = _rebuild(word.tail, view)
+    s2, tail = normalize_word(word.tail, view)
     if tail is None:
         return 0, None
     return s1 * s2, Pair(head, tail)
@@ -686,7 +762,7 @@ def normalize(raw: Element, view: GradingView) -> Element:
         raise SchemaError("mixed word schemas in one element: %s" % sorted(schema))
     out = Element()
     for w, c in raw.items():
-        sign, word = _rebuild(w, view)
+        sign, word = normalize_word(w, view)
         if word is not None:
             out.add_term(word, c * sign)
     return out

@@ -120,3 +120,26 @@ def test_structured_reports_of_all_suites_are_pinned():
         lines.extend(run_suite(SuiteConfig(suite)).structured_lines())
     text = "\n".join(lines) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == REPORTS_SHA256
+
+
+def test_an_instance_that_raises_is_recorded_and_the_run_goes_on(monkeypatch):
+    from pregerst import suites
+    from pregerst.words import get_term_cap
+
+    spec = suites.SUITE_SPECS["kappa-cojacobi"]
+    build = spec.builder
+
+    def failing_thunk():
+        raise ValueError("bad instance")
+
+    def patched(config):
+        instances = build(config)
+        instances[1].thunk = failing_thunk
+        return instances
+
+    monkeypatch.setattr(spec, "builder", patched)
+    rep = run_suite(SuiteConfig("kappa-cojacobi", samples=3, term_cap=10**5))
+    assert [r.status for r in rep.records] == ["pass", "abort"] + ["pass"] * (len(rep.records) - 2)
+    assert rep.records[1].defect_text == "error: ValueError: bad instance"
+    assert len(rep.records) == 6 and rep.exit_code() == 2
+    assert get_term_cap() == 10**6

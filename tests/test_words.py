@@ -362,3 +362,17 @@ def test_sums_refuse_keys_of_different_kinds(reg):
     assert word + Element() == word and Element() - pair == -pair
     assert pair + Element.single((tb, ta)) == Element({(ta, tb): 1, (tb, ta): 1})
     assert (word - Element.single(Tensor((a, b)))).words() == [ta, Tensor((a, b))]
+
+
+def test_constructor_drops_zeros_and_refuses_mixed_kinds(reg):
+    a, b = gens(reg, [("a", 2), ("b", 3)])
+    ta, tb = Tensor((a,)), Tensor((b,))
+    with pytest.raises(SchemaError):
+        Element({ta: 1, (ta, tb): 1, tb: 0})
+    elem = Element({ta: 1, tb: 0, Tensor((a, b)): Fraction(0)})
+    assert elem.words() == [ta] and element_to_text(elem) == "1/1 * T(a)"
+    assert Element({(ta, tb): 0}).is_zero() and Element({}).is_zero()
+    # + and - copy their left operand and leave it untouched
+    left = Element({ta: 1})
+    assert (left + Element.single(tb)).words() == [ta, tb] and left.words() == [ta]
+    assert (left - Element.single(ta)).is_zero() and left.words() == [ta]

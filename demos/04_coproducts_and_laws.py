@@ -10,7 +10,7 @@ from pregerst import (
     check_law, delta_leibniz, delta_perm, element_to_text, kappa,
     sym_word,
 )
-from pregerst.mutations import single
+from pregerst.mutations import mutant
 
 reg = GeneratorRegistry()
 a, b, c = (Gen(reg.declare(n, 2)) for n in "abc")
@@ -42,6 +42,7 @@ for law in (LawId.PERM_COALG, LawId.KAPPA_COJACOBI,
 
 print("\nA verifier must be able to fail.  Drop the head-cut sign in the")
 print("cocrochet and the shifted coJacobi identity breaks:")
-chk = check_law(LawId.KAPPA_COJACOBI, e3, mutations=single("kappa_head_sign_drop"))
+with mutant("kappa_head_sign_drop"):
+    chk = check_law(LawId.KAPPA_COJACOBI, e3)
 print("  mutated defect has %d terms, first: %s"
       % (len(chk.defect), chk.defect_text.split(" + ")[0]))

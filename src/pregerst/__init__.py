@@ -59,7 +59,7 @@ from .models import (
     axiom_defect,
     check_axiom,
 )
-from .mutations import ALL_MUTATION_NAMES, Mutations
+from .mutations import ALL_MUTATION_NAMES
 from .suites import SUITE_NAMES, SuiteConfig, VerificationReport, run_suite
 from .words import (
     Element,

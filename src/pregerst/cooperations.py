@@ -52,7 +52,6 @@ from itertools import combinations
 
 from .errors import SchemaError
 from .grading import SHIFT1, SHIFT2, GradingView, rearrangement_sign
-from .mutations import NO_MUTATIONS
 from .words import (
     Element,
     Pair,
@@ -158,8 +157,7 @@ def _canonical_term(word, coeff, factors, view):
 # coproducts
 # ---------------------------------------------------------------------------
 
-def delta_leibniz(elem: Element, view: GradingView = SHIFT1,
-                  mutations=NO_MUTATIONS) -> Element:
+def delta_leibniz(elem: Element, view: GradingView = SHIFT1) -> Element:
     """Leibniz cocrochet on tensor words; single letters map to zero."""
     out = Element()
     for word, coeff in elem.items():
@@ -169,7 +167,7 @@ def delta_leibniz(elem: Element, view: GradingView = SHIFT1,
         n = len(factors)
         for k in range(1, n):
             left = Tensor(factors[:k])
-            right = mu_word(Tensor(factors[k:]), view, mutations)
+            right = mu_word(Tensor(factors[k:]), view)
             for w, c in right.items():
                 out.add_term((left, w), coeff * c)
     return out
@@ -211,8 +209,7 @@ def delta_cocom(elem: Element, view: GradingView) -> Element:
     return out
 
 
-def delta_perm(elem: Element, view: GradingView = SHIFT2,
-               mutations=NO_MUTATIONS) -> Element:
+def delta_perm(elem: Element, view: GradingView = SHIFT2) -> Element:
     """Permutative coproduct on pair words.
 
     The tail splits into (I, J) with J nonempty; the head keeps I and the
@@ -231,7 +228,7 @@ def delta_perm(elem: Element, view: GradingView = SHIFT2,
         for left, right, sign in _split_table(parities, nonempty_second=True):
             leg1 = Pair(word.head, Sym(tuple(factors[i] for i in left)))
             leg2_sym = Sym(tuple(factors[j] for j in right))
-            for w, c in embed_sym_into_pair(leg2_sym, view, mutations).items():
+            for w, c in embed_sym_into_pair(leg2_sym, view).items():
                 out.add_term((leg1, w), coeff * sign * c)
     return out
 
@@ -243,14 +240,14 @@ def _cuts(word: Tensor):
         yield Tensor(factors[:cut]), Tensor(factors[cut:])
 
 
-def _cut_leg(vpart: Tensor, mu_legs: bool, mutations) -> Element:
+def _cut_leg(vpart: Tensor, mu_legs: bool) -> Element:
     if mu_legs:
-        return mu_word(vpart, SHIFT1, mutations)
+        return mu_word(vpart, SHIFT1)
     return Element.single(vpart)
 
 
 def kappa_prime_sym(elem: Element, view: GradingView = SHIFT2,
-                    mutations=NO_MUTATIONS, mu_legs: bool = False) -> Element:
+                    mu_legs: bool = False) -> Element:
     """The symmetrised cocrochet, legs kept as raw symmetric words.
 
     For one factor X_s cut as U (x) V, the two legs are the symmetric
@@ -271,14 +268,11 @@ def kappa_prime_sym(elem: Element, view: GradingView = SHIFT2,
         for s in range(len(factors)):
             if len(factors[s].factors) < 2:
                 continue
-            if mutations.kappa_prime_prefix_drop:
-                prefix = 1
-            else:
-                prefix = -1 if sum(parities[:s]) & 1 else 1
+            prefix = -1 if sum(parities[:s]) & 1 else 1
             for upart, vpart in _cuts(factors[s]):
                 up = upart.degrees[view] & 1
                 cut_sign = -1 if up else 1
-                mu_v = _cut_leg(vpart, mu_legs, mutations)
+                mu_v = _cut_leg(vpart, mu_legs)
                 # parities with X_s replaced by the two halves
                 ext = parities[:s] + (up, vpart.degrees[view] & 1) + parities[s + 1:]
                 for idx_left, idx_right, sign_uv, sign_vu in _factor_cut_table(ext, s):
@@ -303,19 +297,19 @@ def kappa_prime_sym(elem: Element, view: GradingView = SHIFT2,
 
 
 def kappa_prime(elem: Element, view: GradingView = SHIFT2,
-                mutations=NO_MUTATIONS, mu_legs: bool = False) -> Element:
+                mu_legs: bool = False) -> Element:
     """kappa_prime with both legs materialised as pair-word elements."""
-    raw = kappa_prime_sym(elem, view, mutations, mu_legs)
+    raw = kappa_prime_sym(elem, view, mu_legs)
     out = Element()
     for (lega, legb), coeff in raw.items():
-        for wa, ca in embed_sym_into_pair(lega, view, mutations).items():
-            for wb, cb in embed_sym_into_pair(legb, view, mutations).items():
+        for wa, ca in embed_sym_into_pair(lega, view).items():
+            for wb, cb in embed_sym_into_pair(legb, view).items():
                 out.add_term((wa, wb), coeff * ca * cb)
     return out
 
 
 def kappa(elem: Element, view: GradingView = SHIFT2,
-          mutations=NO_MUTATIONS, mu_legs: bool = False) -> Element:
+          mu_legs: bool = False) -> Element:
     """Degree-one Leibniz cocrochet on pair words.
 
     Three parts: the head U (x) V splits with legs (U . tail_I, V . tail_J)
@@ -334,11 +328,8 @@ def kappa(elem: Element, view: GradingView = SHIFT2,
         tparities = tuple(f.degrees[view] & 1 for f in tail)
         for upart, vpart in _cuts(head):
             up = upart.degrees[view] & 1
-            if mutations.kappa_head_sign_drop:
-                cut_sign = 1
-            else:
-                cut_sign = -1 if up else 1
-            mu_v = _cut_leg(vpart, mu_legs, mutations)
+            cut_sign = -1 if up else 1
+            mu_v = _cut_leg(vpart, mu_legs)
             ext = (up, vpart.degrees[view] & 1) + tparities
             for left, right, sign_uv, sign_vu in _head_cut_table(ext):
                 # sub-tails of a canonical tail are canonical
@@ -351,13 +342,13 @@ def kappa(elem: Element, view: GradingView = SHIFT2,
                     sb, prod = sym_insert(w, right_words, view, True)
                     if prod is None:
                         continue
-                    for pw, pc in embed_sym_into_pair(prod, view, mutations).items():
+                    for pw, pc in embed_sym_into_pair(prod, view).items():
                         out.add_term((leg1, pw), base * sign_uv * sb * c * pc)
                 # (mu V (x) tail_J) (x) embed(U . tail_I)
                 tail_j = Sym(right_words)
                 sa, prod = sym_insert(upart, left_words, view, True)
                 if prod is not None:
-                    emb = list(embed_sym_into_pair(prod, view, mutations).items())
+                    emb = list(embed_sym_into_pair(prod, view).items())
                     for w, c in mu_v.items():
                         leg1 = Pair(w, tail_j)
                         for pw, pc in emb:
@@ -365,10 +356,10 @@ def kappa(elem: Element, view: GradingView = SHIFT2,
         if tail:
             x0p = degree(head, view)
             tail_sign = -1 if x0p & 1 else 1
-            inner = kappa_prime_sym(Element.single(word.tail), view, mutations, mu_legs)
+            inner = kappa_prime_sym(Element.single(word.tail), view, mu_legs)
             for (lega, legb), c in inner.items():
                 leg1 = Pair(head, lega)
-                for pw, pc in embed_sym_into_pair(legb, view, mutations).items():
+                for pw, pc in embed_sym_into_pair(legb, view).items():
                     out.add_term((leg1, pw), coeff * tail_sign * c * pc)
     return out
 
@@ -392,12 +383,11 @@ class LawCheck:
         return "zero" if self.ok else element_to_text(self.defect)
 
 
-def _as_word_coproduct(cop, view, mutations):
-    return lambda w: cop(Element.single(w), view, mutations)
+def _as_word_coproduct(cop, view):
+    return lambda w: cop(Element.single(w), view)
 
 
-def _law_defect(law: LawId, elem: Element, view: GradingView,
-                mutations=NO_MUTATIONS) -> Element:
+def _law_defect(law: LawId, elem: Element, view: GradingView) -> Element:
     if law is LawId.COASSOC:
         d = delta_cocom(elem, view)
         cop = lambda w: delta_cocom(Element.single(w), view)
@@ -406,14 +396,14 @@ def _law_defect(law: LawId, elem: Element, view: GradingView,
         d = delta_cocom(elem, view)
         return d.volte(0, view) - d
     if law is LawId.LEIBNIZ_COALG:
-        d = delta_leibniz(elem, view, mutations)
-        cop = _as_word_coproduct(delta_leibniz, view, mutations)
+        d = delta_leibniz(elem, view)
+        cop = _as_word_coproduct(delta_leibniz, view)
         lhs = d.cosplit_leg(1, cop, 0, view)
         rhs = d.cosplit_leg(0, cop, 0, view)
         return lhs - rhs + rhs.volte(1, view)
     if law is LawId.PERM_COALG:
-        d = delta_perm(elem, view, mutations)
-        cop = _as_word_coproduct(delta_perm, view, mutations)
+        d = delta_perm(elem, view)
+        cop = _as_word_coproduct(delta_perm, view)
         a = d.cosplit_leg(1, cop, 0, view)
         return a - a.volte(1, view)
     if law is LawId.COJACOBI_DELTA:
@@ -422,29 +412,29 @@ def _law_defect(law: LawId, elem: Element, view: GradingView,
         b = d.cosplit_leg(0, cop, 0, view)
         return b + b.volte(1, view).volte(0, view) + b.volte(0, view).volte(1, view)
     if law is LawId.KAPPA_COSYM:
-        k = kappa_prime(elem, view, mutations)
+        k = kappa_prime(elem, view)
         return k.volte(0, view) - k
     if law is LawId.KAPPA_COJACOBI:
-        k = kappa(elem, view, mutations)
-        cop = _as_word_coproduct(kappa, view, mutations)
+        k = kappa(elem, view)
+        cop = _as_word_coproduct(kappa, view)
         lhs = -k.cosplit_leg(1, cop, 1, view)
         rhs = k.cosplit_leg(0, cop, 1, view)
         return lhs - rhs - rhs.volte(1, view)
-    delta_cop = _as_word_coproduct(delta_perm, view, mutations)
-    kappa_cop = _as_word_coproduct(kappa, view, mutations)
+    delta_cop = _as_word_coproduct(delta_perm, view)
+    kappa_cop = _as_word_coproduct(kappa, view)
     if law is LawId.COMPAT_1:
-        d = delta_perm(elem, view, mutations)
+        d = delta_perm(elem, view)
         a = d.cosplit_leg(1, kappa_cop, 1, view)
         return a - a.volte(1, view)
     if law is LawId.COMPAT_2:
-        k = kappa(elem, view, mutations)
-        d = delta_perm(elem, view, mutations)
+        k = kappa(elem, view)
+        d = delta_perm(elem, view)
         lhs = k.cosplit_leg(1, delta_cop, 0, view)
         b = d.cosplit_leg(0, kappa_cop, 1, view)
         return lhs - b - b.volte(1, view)
     if law is LawId.COMPAT_3:
-        k = kappa(elem, view, mutations)
-        d = delta_perm(elem, view, mutations)
+        k = kappa(elem, view)
+        d = delta_perm(elem, view)
         lhs = k.cosplit_leg(0, delta_cop, 0, view)
         a = d.cosplit_leg(1, kappa_cop, 1, view)
         b = d.cosplit_leg(0, kappa_cop, 1, view)
@@ -483,8 +473,7 @@ _LAW_SPACE_CHECK = {
 }
 
 
-def check_law(law: LawId, elem: Element, view: GradingView = None,
-              mutations=NO_MUTATIONS) -> LawCheck:
+def check_law(law: LawId, elem: Element, view: GradingView = None) -> LawCheck:
     """Expand both sides of the law on the given element and report the exact
     defect; zero defect means the law holds on this input."""
     if view is None:
@@ -495,5 +484,5 @@ def check_law(law: LawId, elem: Element, view: GradingView = None,
         for w in elem.terms:
             if not predicate(w):
                 raise SchemaError("law %s needs %s" % (law.value, what))
-    defect = _law_defect(law, elem, view, mutations)
+    defect = _law_defect(law, elem, view)
     return LawCheck(law, element_to_text(elem), defect)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from .errors import SchemaError, UnsupportedModelError
 from .grading import SHIFT1, SHIFT2, rearrangement_sign
 from .models import AlgebraModel, FormalModel
-from .mutations import NO_MUTATIONS, Mutations
 from .words import (
     Element,
     Gen,
@@ -50,7 +49,6 @@ from .words import (
 @dataclass(frozen=True)
 class EnvelopeContext:
     model: AlgebraModel
-    mutations: Mutations = NO_MUTATIONS
 
     def require_algebra(self):
         if isinstance(self.model, FormalModel):
@@ -82,9 +80,9 @@ def _splice(out: Element, prefix, atoms: Element, suffix, coeff):
 # ---------------------------------------------------------------------------
 
 def _q2_wedge(ctx: EnvelopeContext, a: Gen, b: Gen) -> Element:
-    """Binary part (-1)^{deg a} a wedge b (sign dropped under mutation)."""
+    """Binary part (-1)^{deg a} a wedge b."""
     product = ctx.model.wedge_atoms(a.gen, b.gen)
-    if degree(a, SHIFT1) & 1 and not ctx.mutations.zinf_q2_sign_drop:
+    if degree(a, SHIFT1) & 1:
         return -product
     return product
 
@@ -126,13 +124,11 @@ def zinfinity_d(ctx: EnvelopeContext, elem: Element) -> Element:
 # ---------------------------------------------------------------------------
 
 def _bracket_atoms(ctx: EnvelopeContext, a: Gen, b: Gen) -> Element:
-    """[a, b] = a<>b - (-1)^{deg a deg b} b<>a (plus under mutation)."""
+    """[a, b] = a<>b - (-1)^{deg a deg b} b<>a."""
     model = ctx.model
     first = model.diamond_atoms(a.gen, b.gen)
     second = model.diamond_atoms(b.gen, a.gen)
     sign = -1 if (degree(a, SHIFT1) & 1 and degree(b, SHIFT1) & 1) else 1
-    if ctx.mutations.r2_bracket_plus:
-        sign = -sign
     return first - second if sign > 0 else first + second
 
 
@@ -152,7 +148,7 @@ def r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
             for g, c in head.items():
                 out.add_term(Tensor((Gen(g),)), pref * c)
         else:
-            tails = shuffle_factors(xs[1:], ys[1:], SHIFT1, ctx.mutations)
+            tails = shuffle_factors(xs[1:], ys[1:], SHIFT1)
             for tail_word, ts in tails.items():
                 for g, c in head.items():
                     out.add_term(Tensor((Gen(g),) + tail_word.factors),
@@ -166,7 +162,7 @@ def r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
         prefix = xs[:k - 1]
         rest_left = xs[k:]
         if rest_left or len(ys) > 1:
-            tails = shuffle_factors(rest_left, ys[1:], SHIFT1, ctx.mutations)
+            tails = shuffle_factors(rest_left, ys[1:], SHIFT1)
             for tail_word, ts in tails.items():
                 for g, c in br.items():
                     out.add_term(Tensor(prefix + (Gen(g),) + tail_word.factors),
@@ -202,8 +198,6 @@ def l2(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     first = r2_shifted(ctx, x, y)
     second = r2_shifted(ctx, y, x)
     sign = -1 if (degree(x, SHIFT2) & 1 and degree(y, SHIFT2) & 1) else 1
-    if ctx.mutations.l2_sym_sign_flip:
-        sign = -sign
     return first + second.scaled(sign)
 
 
@@ -312,7 +306,7 @@ def m_map(ctx: EnvelopeContext, elem: Element) -> Element:
         for w, c in zinfinity_d_word(ctx, head).items():
             out.add_term(Pair(w, word.tail), coeff * c)
         if tail:
-            pref = 1 if ctx.mutations.m_tail_sign_drop else (-1 if x0p & 1 else 1)
+            pref = -1 if x0p & 1 else 1
             tdegs = [degree(f, SHIFT2) for f in tail]
             for j in range(len(tail)):
                 eps = -1 if (tdegs[j] & 1 and sum(tdegs[:j]) & 1) else 1

@@ -133,29 +133,21 @@ def koszul_sign(degrees, perm: Permutation) -> int:
 
     Multiplicative extension of the transposition rule (i j) -> (-1)^{d_i d_j};
     equals the product over inversions (i < j with perm(i) > perm(j)) of
-    (-1)^{d_i d_j}.  Inversion counting is O(n^2); words here are short.
+    (-1)^{d_i d_j}, which is rearrangement_sign for the inverse permutation
+    as 0-based positions.
     """
-    imgs = perm.images
-    if len(degrees) != len(imgs):
-        raise ValueError(
-            "degree list has %d entries, permutation has %d"
-            % (len(degrees), len(imgs))
-        )
-    odd = [i for i, d in enumerate(degrees) if d & 1]
-    crossings = 0
-    for a in range(len(odd)):
-        pa = imgs[odd[a]]
-        for b in range(a + 1, len(odd)):
-            if pa > imgs[odd[b]]:
-                crossings += 1
-    return -1 if crossings & 1 else 1
+    if len(degrees) != len(perm):
+        raise ValueError("degree list has %d entries, permutation has %d"
+                         % (len(degrees), len(perm)))
+    return rearrangement_sign(degrees, [i - 1 for i in perm.inverse().images])
 
 
 def rearrangement_sign(degrees, order) -> int:
     """Koszul sign of the rearranged sequence (x_{order[0]}, x_{order[1]}, ...).
 
     order lists 0-based original positions; degrees are indexed by original
-    position.  Equivalent to koszul_sign for the inverse place permutation.
+    position.  The sign is the product of (-1)^{d_i d_j} over the pairs the
+    rearrangement crosses; inversion counting is O(n^2), words here are short.
     """
     m = len(order)
     crossings = 0

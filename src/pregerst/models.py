@@ -31,7 +31,6 @@ from fractions import Fraction
 
 from .errors import SchemaError, UnsupportedModelError
 from .grading import BASE, Generator, GeneratorRegistry
-from .mutations import NO_MUTATIONS
 from .words import Element, element_to_text
 
 
@@ -114,13 +113,11 @@ class FormsModel(AlgebraModel):
 
     name = "forms"
 
-    def __init__(self, n_coords: int, mutations=NO_MUTATIONS,
-                 exterior_differential: bool = False):
+    def __init__(self, n_coords: int, exterior_differential: bool = False):
         super().__init__()
         if n_coords < 1:
             raise ValueError("need at least one coordinate")
         self.n_coords = n_coords
-        self.mutations = mutations
         self.exterior_differential = exterior_differential
         self._keys = {}     # atom name -> monomial key
         self._atoms = {}    # monomial key -> atom
@@ -223,10 +220,7 @@ class FormsModel(AlgebraModel):
 
     def wedge_atoms(self, a: Generator, b: Generator) -> Element:
         ka, kb = self.key(a), self.key(b)
-        if self.mutations.wedge_scale_drop or b.degree == 1:
-            scale = 1
-        else:
-            scale = Fraction(1, b.degree)
+        scale = 1 if b.degree == 1 else Fraction(1, b.degree)
         out = Element()
         for dc, dk in self._ext_d(kb):
             res = self._ext_wedge(ka, dk)

@@ -1,49 +1,114 @@
-"""Deliberate single-fault switches used to prove the checkers can fail.
+"""Curated single faults, applied to the source, that prove the checkers can fail.
 
-Every flag defaults to off.  Turning one on injects exactly one wrong sign or
-one dropped factor somewhere in the machinery; the mutation-sanity suite then
-asserts that at least one verification law reports a nonzero defect for each
-flag.  A verifier that cannot fail verifies nothing.
+Each mutant names one function of the package, a snippet of its source (a
+sign, a scale or an operand) and the snippet's replacement.  Inside
+``with mutant(name):`` the function runs the edited source, and the
+mutation-sanity suite asserts that some law then reports a nonzero defect.
+A verifier that cannot fail verifies nothing.
+
+The program carries no hook for a fault: no flag, parameter or field.
+mutant takes the unwrapped target (past lru_cache or any other wrapper),
+requires the snippet to occur in its dedented source exactly once, compiles
+the edited source in a copy of the function's globals and swaps the new code
+object into the live function, so every caller in the package runs the
+fault; a finally puts the original code back.  Every lru_cache in the
+package is cleared on entry and on exit, so no table built without the fault
+is read inside the block and none built with it outlives the block.  A
+mutant changes the whole process: run one at a time, from one thread.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import __future__
+import ast
+import importlib
+import inspect
+import sys
+import textwrap
+from contextlib import contextmanager
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Mutations:
-    # mu_2 becomes the identity instead of 1 - signed transposition.
-    mu2_identity: bool = False
+class Patch(NamedTuple):
+    module: str      # module of the package, e.g. "words"
+    function: str    # qualified name in it, e.g. "FormsModel.wedge_atoms"
+    old: str         # snippet of the function's dedented source
+    new: str
+
+
+PATCHES = {
+    # mu_2 keeps only its identity term; every higher mu is built from it.
+    "mu2_identity": Patch("words", "_mu_table", "for p, c in extended:",
+                          "for p, c in (extended if n != 2 else ()):"),
     # shuffle interleavings lose their Koszul signs.
-    shuffle_unsigned: bool = False
+    "shuffle_unsigned": Patch("words", "shuffle_factors",
+                              "mask = _odd_mask(factors, view)", "mask = 0"),
     # the bracket inside the pre-Lie extension uses + instead of -.
-    r2_bracket_plus: bool = False
+    "r2_bracket_plus": Patch("envelopes", "_bracket_atoms", "sign > 0", "sign < 0"),
     # the tail part of the lifted differential m drops its head-degree prefix sign.
-    m_tail_sign_drop: bool = False
+    "m_tail_sign_drop": Patch("envelopes", "m_map", "pref = -1 if x0p & 1 else 1", "pref = 1"),
     # the Leibniz cocrochet on pair words drops the (-1)^{deg' of left cut} prefactor.
-    kappa_head_sign_drop: bool = False
+    "kappa_head_sign_drop": Patch("cooperations", "kappa",
+                                  "cut_sign = -1 if up else 1", "cut_sign = 1"),
     # the symmetric cocrochet drops its position prefix sign (-1)^{sum of earlier deg'}.
-    kappa_prime_prefix_drop: bool = False
+    "kappa_prime_prefix_drop": Patch("cooperations", "kappa_prime_sym",
+                                     "prefix = -1 if sum(parities[:s]) & 1 else 1", "prefix = 1"),
     # the Zinbiel envelope's binary part drops the (-1)^{deg} twist.
-    zinf_q2_sign_drop: bool = False
+    "zinf_q2_sign_drop": Patch("envelopes", "_q2_wedge", "return -product", "return product"),
     # the symmetrised pre-Lie extension uses a minus instead of a plus.
-    l2_sym_sign_flip: bool = False
+    "l2_sym_sign_flip": Patch("envelopes", "l2", "scaled(sign)", "scaled(-sign)"),
     # the differential-forms wedge loses its 1/degree scalar.
-    wedge_scale_drop: bool = False
+    "wedge_scale_drop": Patch("models", "FormsModel.wedge_atoms",
+                              "scale = 1 if b.degree == 1 else Fraction(1, b.degree)", "scale = 1"),
     # the symmetric-word-to-pair-word embedding loses its Koszul signs.
-    embed_unsigned: bool = False
+    "embed_unsigned": Patch("words", "embed_sym_into_pair",
+                            "sign = -1 if odd and moved else 1", "sign = 1"),
+}
+
+ALL_MUTATION_NAMES = list(PATCHES)
 
 
-NO_MUTATIONS = Mutations()
+def _mutated_code(fn, patch: Patch):
+    """fn's code compiled from its source with the snippet replaced, its
+    decorators dropped and its line numbers kept."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    count = source.count(patch.old)
+    if count != 1:
+        raise RuntimeError("snippet %r occurs %d times in %s.%s, not once"
+                           % (patch.old, count, patch.module, patch.function))
+    tree = ast.parse(source.replace(patch.old, patch.new))
+    tree.body[0].decorator_list = []
+    ast.increment_lineno(tree, fn.__code__.co_firstlineno - 1)
+    namespace = dict(fn.__globals__)
+    exec(compile(tree, fn.__code__.co_filename, "exec",
+                 flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
+    return namespace[fn.__name__].__code__
 
 
-def single(name: str) -> Mutations:
-    """The mutation set with exactly one named flag enabled."""
-    valid = {f.name for f in fields(Mutations)}
-    if name not in valid:
+def _clear_caches():
+    """Clear every lru_cache held at the top level of a package module."""
+    for name, module in list(sys.modules.items()):
+        if name == __package__ or name.startswith(__package__ + "."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
+@contextmanager
+def mutant(name: str):
+    """Run the block with the named fault compiled into its target function."""
+    patch = PATCHES.get(name)
+    if patch is None:
         raise ValueError("unknown mutation %r" % name)
-    return Mutations(**{name: True})
-
-
-ALL_MUTATION_NAMES = [f.name for f in fields(Mutations)]
+    fn = importlib.import_module("%s.%s" % (__package__, patch.module))
+    for part in patch.function.split("."):
+        fn = getattr(fn, part)
+    fn = inspect.unwrap(fn)
+    original, mutated = fn.__code__, _mutated_code(fn, patch)
+    _clear_caches()
+    fn.__code__ = mutated
+    try:
+        yield
+    finally:
+        fn.__code__ = original
+        _clear_caches()

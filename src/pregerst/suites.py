@@ -36,7 +36,7 @@ from .envelopes import (
 from .errors import TermBudgetExceeded
 from .grading import SHIFT1, SHIFT2, GeneratorRegistry
 from .models import AxiomId, FormsModel, axiom_defect, check_axiom
-from .mutations import NO_MUTATIONS, single
+from .mutations import mutant
 from .words import (
     Element,
     Gen,
@@ -242,8 +242,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 # samplers
 # ---------------------------------------------------------------------------
 
-def _forms_model(config, mutations=NO_MUTATIONS):
-    return FormsModel(config.n_coords, mutations=mutations)
+def _forms_model(config):
+    return FormsModel(config.n_coords)
 
 
 def _sample_triple(model, rng, config):
@@ -546,165 +546,139 @@ def _coderiv_suite(which):
 # mutation sanity
 # ---------------------------------------------------------------------------
 
-def _detects(fn):
-    """Wrap a batch runner: passes when at least one defect is nonzero."""
-    def thunk():
-        found = fn()
-        if found:
-            return False, found  # nonzero defect observed -> detection
-        return True, "zero"
-    return thunk
-
-
 def _build_mutation_sanity(config):
-    """One instance per curated mutation; a pass means a nonzero defect was
+    """One instance per curated mutant; a pass means a nonzero defect was
     produced somewhere in the targeted check, so a checker that could never
-    fail would fail this suite.  Inputs are fixed small words known to expose
-    each fault (several faults are invisible on generic inputs: with a zero
-    model differential the tail part of m needs a tail factor of length two
-    to act at all, and on forms the induced bracket vanishes identically so
-    flipping its sign is only visible through the derivation identity)."""
+    fail would fail this suite.  Each runner does its work inside
+    ``with mutant(name)``, which compiles that fault into its target function
+    for the block alone and clears the package's cached tables on entry and
+    on exit; the instances themselves are built on the unmutated program.
+    Inputs are fixed small words known to expose each fault (several faults
+    are invisible on generic inputs: with a zero model differential the tail
+    part of m needs a tail factor of length two to act at all, and on forms
+    the induced bracket vanishes identically so flipping its sign is only
+    visible through the derivation identity)."""
     out = []
 
+    def add(name, check, input_text, run):
+        """run returns the first nonzero defect text it finds, else ''."""
+        def thunk():
+            with mutant(name):
+                found = run()
+            return (False, found) if found else (True, "zero")
+        out.append(Instance("mutation:%s->%s" % (name, check), input_text, thunk, True))
+
     model = _forms_model(config)
-    u1 = {1: model.atom((1, 0), ()), 2: model.atom((0, 1), ())}
-    a_u1, a_u2 = u1[1], u1[2]
-    a_du1 = model.atom((0, 0), (1,))
+    ctx = EnvelopeContext(model)
+    a_u1, a_u2 = model.atom((1, 0), ()), model.atom((0, 1), ())
 
     def forms_pair(head_atoms, tail_lists):
+        """A pair word over these atoms; its fixed tails never vanish."""
         head = Tensor(tuple(Gen(a) for a in head_atoms))
-        tails = [Tensor(tuple(Gen(a) for a in tl)) for tl in tail_lists]
-        sign, tail = sym_word(tails, SHIFT2)
-        if tail is None:
-            return None
+        sign, tail = sym_word([Tensor(tuple(Gen(a) for a in tl)) for tl in tail_lists], SHIFT2)
         return Element.single(Pair(head, tail), sign)
 
     # 1. mu_2 collapsed to the identity: the Leibniz coalgebra law fails.
     def mu2_run():
-        mut = single("mu2_identity")
         for pattern in itertools.product((1, 2), repeat=3):
             reg = GeneratorRegistry()
             atoms = [Gen(reg.declare("x%d" % i, d + 1)) for i, d in enumerate(pattern)]
-            chk = check_law(LawId.LEIBNIZ_COALG, Element.single(Tensor(tuple(atoms))),
-                            mutations=mut)
+            chk = check_law(LawId.LEIBNIZ_COALG, Element.single(Tensor(tuple(atoms))))
             if not chk.ok:
                 return chk.defect_text
         return ""
-    out.append(Instance("mutation:mu2_identity->leibniz_coalg",
-                        "tensor words of length 3", _detects(mu2_run), True))
+    add("mu2_identity", "leibniz_coalg", "tensor words of length 3", mu2_run)
 
     # 2. unsigned shuffles: mu o sh picks up uncancelled terms.
     def sh_run():
-        mut = single("shuffle_unsigned")
         for pattern in [(1, 1), (1, 2, 1), (1, 1, 2)]:
             n = len(pattern)
             reg = GeneratorRegistry()
             atoms = [Gen(reg.declare("x%d" % i, d + 1)) for i, d in enumerate(pattern)]
             for p in range(1, n):
-                sh = shuffle_product(Tensor(tuple(atoms[:p])), Tensor(tuple(atoms[p:])),
-                                     SHIFT1, mut)
+                sh = shuffle_product(Tensor(tuple(atoms[:p])), Tensor(tuple(atoms[p:])), SHIFT1)
                 res = mu(n, sh, SHIFT1)
                 if not res.is_zero():
                     return element_to_text(res)
         return ""
-    out.append(Instance("mutation:shuffle_unsigned->mu_shuffle",
-                        "odd-degree shuffle words", _detects(sh_run), True))
+    add("shuffle_unsigned", "mu_shuffle", "odd-degree shuffle words", sh_run)
 
     # 3. bracket with a plus: D stops deriving the extension (on forms the
     # bracket itself is identically zero, so the flip doubles a term that the
     # derivation identity then sees).
     def r2_run():
-        mut = single("r2_bracket_plus")
-        ctx = EnvelopeContext(_forms_model(config, mut), mut)
         x = Element.single(Tensor((Gen(a_u1), Gen(a_u1))))
         y = Element.single(Tensor((Gen(a_u1),)))
         rep = check_r2_derivation(ctx, x, y)
         return ("" if rep.ok else rep.defect_text)
-    out.append(Instance("mutation:r2_bracket_plus->r2_derivation",
-                        "x = u1 (x) u1, y = u1", _detects(r2_run), True))
+    add("r2_bracket_plus", "r2_derivation", "x = u1 (x) u1, y = u1", r2_run)
 
     # 4. m without its head sign: m stops being a coderivation of the
     # permutative coproduct (needs a length-2 tail factor so D acts there).
     def m_run():
-        mut = single("m_tail_sign_drop")
-        ctx = EnvelopeContext(_forms_model(config), mut)
         elem = forms_pair((a_u1,), ((a_u1, a_u1),))
         rep = check_coderivation(lambda e: delta_perm(e, SHIFT2), 0,
                                  coderivation_m(ctx), elem)
         return ("" if rep.ok else rep.defect_text)
-    out.append(Instance("mutation:m_tail_sign_drop->coderiv_delta",
-                        "P(T(u1); S(T(u1,u1)))", _detects(m_run), True))
+    add("m_tail_sign_drop", "coderiv_delta", "P(T(u1); S(T(u1,u1)))", m_run)
 
     # 5. kappa head-cut sign dropped: coJacobi fails.
     def kh_run():
-        mut = single("kappa_head_sign_drop")
         for degs in [(2, 2, 2), (2, 3, 2), (3, 2, 2)]:
             reg = GeneratorRegistry()
             atoms = [Gen(reg.declare("x%d" % i, d)) for i, d in enumerate(degs)]
             e = Element.single(Pair(Tensor(tuple(atoms)), Sym(())))
-            chk = check_law(LawId.KAPPA_COJACOBI, e, mutations=mut)
+            chk = check_law(LawId.KAPPA_COJACOBI, e)
             if not chk.ok:
                 return chk.defect_text
         return ""
-    out.append(Instance("mutation:kappa_head_sign_drop->kappa_cojacobi",
-                        "length-3 heads", _detects(kh_run), True))
+    add("kappa_head_sign_drop", "kappa_cojacobi", "length-3 heads", kh_run)
 
     # 6. kappa_prime position prefix dropped: the mixed compatibility law
     # with the permutative coproduct fails (a later tail factor is cut after
     # an odd-degree earlier one).
     def kp_run():
-        mut = single("kappa_prime_prefix_drop")
         elem = forms_pair((a_u1,), ((a_u1,), (a_u1, a_u2)))
-        chk = check_law(LawId.COMPAT_2, elem, mutations=mut)
+        chk = check_law(LawId.COMPAT_2, elem)
         return ("" if chk.ok else chk.defect_text)
-    out.append(Instance("mutation:kappa_prime_prefix_drop->compat_2",
-                        "P(T(u1); S(T(u1),T(u1,u2)))", _detects(kp_run), True))
+    add("kappa_prime_prefix_drop", "compat_2", "P(T(u1); S(T(u1),T(u1,u2)))", kp_run)
 
     # 7. binary Zinbiel part without its degree twist: the second pass of D
     # hits odd-degree product atoms and no longer cancels.
     def zq_run():
-        mut = single("zinf_q2_sign_drop")
-        ctx = EnvelopeContext(_forms_model(config), mut)
         w = Tensor((Gen(a_u1), Gen(a_u2), Gen(a_u1)))
         res = zinfinity_d(ctx, zinfinity_d(ctx, Element.single(w)))
         return ("" if res.is_zero() else element_to_text(res))
-    out.append(Instance("mutation:zinf_q2_sign_drop->zinf_square",
-                        "T(u1,u2,u1)", _detects(zq_run), True))
+    add("zinf_q2_sign_drop", "zinf_square", "T(u1,u2,u1)", zq_run)
 
     # 8. l2 antisymmetrised instead of symmetrised: Q^2 != 0.
     def l2_run():
-        mut = single("l2_sym_sign_flip")
-        ctx = EnvelopeContext(_forms_model(config), mut)
         elem = forms_pair((a_u1,), ((a_u1,), (a_u1, a_u1)))
         res = q_total(ctx, q_total(ctx, elem))
         return ("" if res.is_zero() else element_to_text(res))
-    out.append(Instance("mutation:l2_sym_sign_flip->q_square",
-                        "P(T(u1); S(T(u1),T(u1,u1)))", _detects(l2_run), True))
+    add("l2_sym_sign_flip", "q_square", "P(T(u1); S(T(u1),T(u1,u1)))", l2_run)
 
     # 9. wedge without its 1/degree scalar: the Zinbiel axiom fails.  The
     # compatibility axioms are scale-invariant (the same wedge factor appears
     # once on each side), so the Zinbiel defect is where the scalar matters.
     def wedge_run():
-        model3 = FormsModel(3, mutations=single("wedge_scale_drop"))
+        model3 = FormsModel(3)
         x = Element.single(model3.atom((1, 0, 0), ()))
         y = Element.single(model3.atom((0, 1, 0), ()))
         z = Element.single(model3.atom((0, 0, 1), ()))
         d = axiom_defect(model3, AxiomId.ZINBIEL, [x, y, z])
         return "" if d.is_zero() else element_to_text(d)
-    out.append(Instance("mutation:wedge_scale_drop->zinbiel",
-                        "coordinate functions u1,u2,u3", _detects(wedge_run), True))
+    add("wedge_scale_drop", "zinbiel", "coordinate functions u1,u2,u3", wedge_run)
 
     # 10. unsigned embedding: the mixed compatibility law fails.
     def embed_run():
-        mut = single("embed_unsigned")
         reg = GeneratorRegistry()
         gens = [Gen(reg.declare("g%d" % i, d)) for i, d in enumerate((1, 2, 3, 4))]
         sign, tail = sym_word([Tensor((gens[2],)), Tensor((gens[3],))], SHIFT2)
         e = Element.single(Pair(Tensor((gens[0], gens[1])), tail), sign)
-        chk = check_law(LawId.COMPAT_2, e, mutations=mut)
+        chk = check_law(LawId.COMPAT_2, e)
         return ("" if chk.ok else chk.defect_text)
-    out.append(Instance("mutation:embed_unsigned->compat_2",
-                        "P(T(g0,g1); S(T(g2),T(g3)))", _detects(embed_run), True))
+    add("embed_unsigned", "compat_2", "P(T(g0,g1); S(T(g2),T(g3)))", embed_run)
 
     return out
 

@@ -64,7 +64,6 @@ from .grading import (
     rearrangement_sign,
     shuffles,
 )
-from .mutations import NO_MUTATIONS
 
 # Cap on the number of terms any single element may hold; exceeding it raises
 # TermBudgetExceeded so a run can abort explicitly instead of thrashing.
@@ -218,15 +217,16 @@ class Pair(Word):
 
 
 def sort_key(word: Word):
-    """Total order on words: recursive lexicographic on (variant tag, name,
-    children).  Independent of degrees, so equal words are always adjacent.
-    Computed on first use and cached on the word."""
+    """Total order on words: recursive lexicographic on the variant tag,
+    then a generator's name and degree, or the children.  Equal words have
+    equal keys, and two generators that share a name but not a degree do not
+    tie.  Computed on first use and cached on the word."""
     try:
         return word.key
     except AttributeError:
         pass
     if type(word) is Gen:
-        key = (0, word.gen.name)
+        key = (0, word.gen.name, word.gen.degree)
     elif type(word) is Tensor:
         key = (1, tuple(map(sort_key, word.factors)))
     elif type(word) is Sym:
@@ -521,10 +521,7 @@ def _placer(perm: Permutation):
     itemgetter of, for each slot, the position of the factor landing there."""
     if len(perm) == 1:
         return tuple
-    order = [0] * len(perm)
-    for i, s in enumerate(perm.images):
-        order[s - 1] = i
-    return itemgetter(*order)
+    return itemgetter(*[i - 1 for i in perm.inverse().images])
 
 
 def signed_permute(word: Tensor, perm: Permutation, view: GradingView) -> Element:
@@ -591,12 +588,11 @@ def _tensors(acc: dict) -> Element:
     return out
 
 
-def shuffle_factors(left, right, view: GradingView, mutations=NO_MUTATIONS) -> Element:
+def shuffle_factors(left, right, view: GradingView) -> Element:
     """Signed sum over (p,q)-shuffles of the concatenated factor lists.
 
     Empty sides degenerate to the single unshuffled word; with both sides
     empty this is the empty product and the caller must not ask for a word.
-    Unsigned shuffles (a mutation) read the sign table of the all-even pattern.
     """
     left = tuple(left)
     right = tuple(right)
@@ -606,35 +602,31 @@ def shuffle_factors(left, right, view: GradingView, mutations=NO_MUTATIONS) -> E
         raise SchemaError("cannot shuffle two empty words into a tensor word")
     if p == 0 or q == 0:
         return Element.single(Tensor(factors))
-    mask = 0 if mutations.shuffle_unsigned else _odd_mask(factors, view)
+    mask = _odd_mask(factors, view)
     acc = {}
     _add_placed(acc, factors, _shuffle_placers(p, q), _shuffle_signs(p, q, mask), 1)
     return _tensors(acc)
 
 
-def shuffle_product(left: Tensor, right: Tensor, view: GradingView,
-                    mutations=NO_MUTATIONS) -> Element:
+def shuffle_product(left: Tensor, right: Tensor, view: GradingView) -> Element:
     if not isinstance(left, Tensor) or not isinstance(right, Tensor):
         raise SchemaError("shuffle product expects tensor words")
-    return shuffle_factors(left.factors, right.factors, view, mutations)
+    return shuffle_factors(left.factors, right.factors, view)
 
 
 @lru_cache(maxsize=None)
-def _mu_table(n: int, mu2_identity: bool):
+def _mu_table(n: int):
     """mu_n as a list of (Permutation, +-1); Koszul signs are applied per word.
 
     mu_1 = id and mu_{n+1} = mu_n x id - (mu_n x id) o (inverse cycle), the
-    cycle being (1 ... n+1).  With the mutation flag the n = 2 step keeps only
-    the identity term, and the defect propagates to every higher mu.
+    cycle being (1 ... n+1).
     """
     if n < 1:
         raise ValueError("mu arity must be >= 1")
     if n == 1:
         return ((Permutation.identity(1), 1),)
-    prev = _mu_table(n - 1, mu2_identity)
+    prev = _mu_table(n - 1)
     extended = [(Permutation(p.images + (n,)), c) for p, c in prev]
-    if n == 2 and mu2_identity:
-        return tuple(extended)
     cycle_inv = Permutation((n,) + tuple(range(1, n)))
     out = list(extended)
     for p, c in extended:
@@ -643,35 +635,34 @@ def _mu_table(n: int, mu2_identity: bool):
 
 
 @lru_cache(maxsize=None)
-def _mu_placers(n: int, mu2_identity: bool):
-    return tuple(_placer(perm) for perm, _ in _mu_table(n, mu2_identity))
+def _mu_placers(n: int):
+    return tuple(_placer(perm) for perm, _ in _mu_table(n))
 
 
 @lru_cache(maxsize=None)
-def _mu_signs(n: int, mask: int, mu2_identity: bool):
+def _mu_signs(n: int, mask: int):
     """Sign of each mu_n term, table coefficient times Koszul sign, in
     _mu_placers order, for the words whose odd-degree pattern is mask."""
     degs = _mask_degrees(n, mask)
-    return tuple(c * koszul_sign(degs, perm) for perm, c in _mu_table(n, mu2_identity))
+    return tuple(c * koszul_sign(degs, perm) for perm, c in _mu_table(n))
 
 
-def mu_word(word: Tensor, view: GradingView, mutations=NO_MUTATIONS) -> Element:
+def mu_word(word: Tensor, view: GradingView) -> Element:
     """Apply mu_n for n = word length; linear combination of same-length words."""
-    return mu(len(word.factors), word, view, mutations)
+    return mu(len(word.factors), word, view)
 
 
-def mu(n: int, elem, view: GradingView, mutations=NO_MUTATIONS) -> Element:
+def mu(n: int, elem, view: GradingView) -> Element:
     """mu_n on a tensor word or element whose words all have length n."""
     if isinstance(elem, Tensor):
         elem = Element.single(elem)
-    flag = mutations.mu2_identity
-    placers = _mu_placers(n, flag)
+    placers = _mu_placers(n)
     acc = {}
     for w, c in elem.items():
         if type(w) is not Tensor or len(w.factors) != n:
             raise SchemaError("mu_%d needs tensor words of length %d" % (n, n))
         factors = w.factors
-        _add_placed(acc, factors, placers, _mu_signs(n, _odd_mask(factors, view), flag), c)
+        _add_placed(acc, factors, placers, _mu_signs(n, _odd_mask(factors, view)), c)
     return _tensors(acc)
 
 
@@ -691,26 +682,25 @@ def sym_product(a: Element, b: Element, view: GradingView) -> Element:
     return out
 
 
-def embed_sym_into_pair(word: Sym, view: GradingView, mutations=NO_MUTATIONS) -> Element:
+def embed_sym_into_pair(word: Sym, view: GradingView) -> Element:
     """Identify a symmetric word with a sum of pair words: each factor takes a
     turn as the head, signed by moving it to the front; the remaining factors
     stay as the tail.  One term per factor before normalization."""
     factors = word.factors
     if not factors:
         raise SchemaError("cannot embed the empty symmetric word")
-    signed = not mutations.embed_unsigned
     moved = 0      # parity of the odd factors before the head
     out = Element()
     for h, f in enumerate(factors):
         odd = f.degrees[view] & 1
-        sign = -1 if (signed and odd and moved) else 1
+        sign = -1 if odd and moved else 1
         moved ^= odd
         out.add_term(Pair(f, Sym(factors[:h] + factors[h + 1:])), sign)
     return out
 
 
-def embed_element(elem: Element, view: GradingView, mutations=NO_MUTATIONS) -> Element:
-    return elem.map_words(lambda w: embed_sym_into_pair(w, view, mutations))
+def embed_element(elem: Element, view: GradingView) -> Element:
+    return elem.map_words(lambda w: embed_sym_into_pair(w, view))
 
 
 # ---------------------------------------------------------------------------

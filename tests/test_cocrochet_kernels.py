@@ -24,7 +24,7 @@ VIEWS = (BASE, SHIFT1, SHIFT2)
 def reference_key(word):
     """The recursive definition of the order on words."""
     if type(word) is Gen:
-        return (0, word.gen.name)
+        return (0, word.gen.name, word.gen.degree)
     if type(word) is Tensor:
         return (1, tuple(reference_key(f) for f in word.factors))
     if type(word) is Sym:

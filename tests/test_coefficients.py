@@ -8,6 +8,7 @@ reference that calls koszul_sign once per permutation.
 
 import itertools
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from pregerst.grading import (
     shuffles,
 )
 from pregerst.models import FormsModel
-from pregerst.mutations import NO_MUTATIONS, single
+from pregerst.mutations import mutant
 from pregerst.words import (
     Element,
     Gen,
@@ -84,22 +85,22 @@ def reference_shuffle(factors, p, unsigned):
 
 @pytest.mark.parametrize("mu2_identity", [False, True])
 def test_mu_word_matches_per_permutation_reference(mu2_identity):
-    mutations = single("mu2_identity") if mu2_identity else NO_MUTATIONS
-    for n in range(1, MAX_N + 1):
-        for mask in range(1 << n):
-            word = pattern_word(n, mask)
-            assert mu_word(word, SHIFT1, mutations) == reference_mu(word, mu2_identity), (n, mask)
+    with mutant("mu2_identity") if mu2_identity else nullcontext():
+        for n in range(1, MAX_N + 1):
+            for mask in range(1 << n):
+                word = pattern_word(n, mask)
+                assert mu_word(word, SHIFT1) == reference_mu(word, mu2_identity), (n, mask)
 
 
 @pytest.mark.parametrize("unsigned", [False, True])
 def test_shuffle_product_matches_per_permutation_reference(unsigned):
-    mutations = single("shuffle_unsigned") if unsigned else NO_MUTATIONS
-    for n in range(2, MAX_N + 1):
-        for mask in range(1 << n):
-            factors = pattern_word(n, mask).factors
-            for p in range(1, n):
-                got = shuffle_product(Tensor(factors[:p]), Tensor(factors[p:]), SHIFT1, mutations)
-                assert got == reference_shuffle(factors, p, unsigned), (n, mask, p)
+    with mutant("shuffle_unsigned") if unsigned else nullcontext():
+        for n in range(2, MAX_N + 1):
+            for mask in range(1 << n):
+                factors = pattern_word(n, mask).factors
+                for p in range(1, n):
+                    got = shuffle_product(Tensor(factors[:p]), Tensor(factors[p:]), SHIFT1)
+                    assert got == reference_shuffle(factors, p, unsigned), (n, mask, p)
 
 
 def test_mu_sums_the_images_of_its_words():

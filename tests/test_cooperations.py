@@ -18,7 +18,7 @@ from pregerst.cooperations import (
 )
 from pregerst.errors import SchemaError
 from pregerst.grading import SHIFT1, SHIFT2, GeneratorRegistry, shuffles_k1m
-from pregerst.mutations import single
+from pregerst.mutations import mutant
 from pregerst.words import (
     Element,
     Gen,
@@ -214,8 +214,8 @@ def test_leibniz_law_exhaustive_small():
 def test_leibniz_law_fails_under_mu2_mutation():
     reg = GeneratorRegistry()
     atoms = [Gen(reg.declare("x%d" % i, 2)) for i in range(3)]
-    chk = check_law(LawId.LEIBNIZ_COALG, Element.single(Tensor(tuple(atoms))),
-                    mutations=single("mu2_identity"))
+    with mutant("mu2_identity"):
+        chk = check_law(LawId.LEIBNIZ_COALG, Element.single(Tensor(tuple(atoms))))
     assert not chk.ok
 
 

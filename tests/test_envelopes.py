@@ -26,7 +26,7 @@ from pregerst.envelopes import (
 from pregerst.errors import UnsupportedModelError
 from pregerst.grading import SHIFT1, SHIFT2
 from pregerst.models import FormalModel, FormsModel
-from pregerst.mutations import single
+from pregerst.mutations import mutant
 from pregerst.words import (
     Element,
     Gen,
@@ -107,9 +107,9 @@ def test_d_is_degree_one(ctx):
 
 def test_d_mutation_breaks_square(ctx):
     a = atoms(ctx.model)
-    mut_ctx = EnvelopeContext(ctx.model, single("zinf_q2_sign_drop"))
     w = Tensor((Gen(a["u1"]), Gen(a["u2"]), Gen(a["u1"])))
-    assert not zinfinity_d(mut_ctx, zinfinity_d(mut_ctx, Element.single(w))).is_zero()
+    with mutant("zinf_q2_sign_drop"):
+        assert not zinfinity_d(ctx, zinfinity_d(ctx, Element.single(w))).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +168,17 @@ def test_r2_reduces_to_the_model_prelie_axiom(ctx):
 
 def test_r2_mutations_detected(ctx):
     a = atoms(ctx.model)
-    mut = single("r2_bracket_plus")
-    mctx = EnvelopeContext(ctx.model, mut)
     x = Element.single(Tensor((Gen(a["u1"]), Gen(a["u1"]))))
     y = Element.single(Tensor((Gen(a["u1"]),)))
-    assert not check_r2_derivation(mctx, x, y).ok
+    with mutant("r2_bracket_plus"):
+        assert not check_r2_derivation(ctx, x, y).ok
     # unsigned shuffles are caught by the mu-kills-shuffles lemma
     from pregerst.words import mu, shuffle_product
     from pregerst.grading import GeneratorRegistry
     reg = GeneratorRegistry()
     g1, g2 = Gen(reg.declare("g1", 2)), Gen(reg.declare("g2", 2))
-    sh = shuffle_product(Tensor((g1,)), Tensor((g2,)), SHIFT1, single("shuffle_unsigned"))
+    with mutant("shuffle_unsigned"):
+        sh = shuffle_product(Tensor((g1,)), Tensor((g2,)), SHIFT1)
     assert not mu(2, sh, SHIFT1).is_zero()
 
 
@@ -332,9 +332,9 @@ def test_mutated_m_fails_delta_coderivation(ctx):
     u1 = Gen(a["u1"])
     sign, tail = sym_word([Tensor((u1, u1))], SHIFT2)
     e = Element.single(Pair(Tensor((u1,)), tail), sign)
-    mctx = EnvelopeContext(ctx.model, single("m_tail_sign_drop"))
     cop = lambda x: delta_perm(x, SHIFT2)
-    rep = check_coderivation(cop, 0, coderivation_m(mctx), e)
+    with mutant("m_tail_sign_drop"):
+        rep = check_coderivation(cop, 0, coderivation_m(ctx), e)
     assert not rep.ok
 
 

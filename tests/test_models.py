@@ -1,10 +1,13 @@
 """The differential-forms model and the algebra axiom suites."""
 
 import random
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pregerst
 from pregerst.errors import SchemaError, UnsupportedModelError
 from pregerst.grading import BASE, Generator
 from pregerst.models import (
@@ -15,7 +18,7 @@ from pregerst.models import (
     axiom_defect,
     check_axiom,
 )
-from pregerst.mutations import single
+from pregerst.mutations import mutant
 from pregerst.words import element_to_text
 
 ALGEBRA_AXIOMS = [
@@ -153,16 +156,17 @@ def test_differential_admission_gate():
 
 
 def test_wedge_scale_mutation_breaks_zinbiel():
-    model = FormsModel(3, mutations=single("wedge_scale_drop"))
+    model = FormsModel(3)
     x = one_term(model, (1, 0, 0), ())
     y = one_term(model, (0, 1, 0), ())
     z = one_term(model, (0, 0, 1), ())
-    assert axiom_defect(model, AxiomId.ZINBIEL, [x, y, z])
-    # and compat_b cannot see the missing scalar (same wedge degree on both sides)
-    rng = random.Random(4)
-    for _ in range(20):
-        args = [model.sample_form(rng) for _ in range(3)]
-        assert not axiom_defect(model, AxiomId.COMPAT_B, args)
+    with mutant("wedge_scale_drop"):
+        assert axiom_defect(model, AxiomId.ZINBIEL, [x, y, z])
+        # and compat_b cannot see the missing scalar (same wedge degree on both sides)
+        rng = random.Random(4)
+        for _ in range(20):
+            args = [model.sample_form(rng) for _ in range(3)]
+            assert not axiom_defect(model, AxiomId.COMPAT_B, args)
 
 
 def test_formal_model_rejects_algebra_ops():
@@ -199,13 +203,11 @@ def test_sampler_is_deterministic():
         assert 1 <= len(combo) <= 3
 
 
-def test_module_compiles_with_warnings_as_errors():
-    import warnings
-    from pathlib import Path
+PACKAGE_MODULES = sorted(Path(pregerst.__file__).parent.glob("*.py"))
 
-    import pregerst.models
 
-    path = Path(pregerst.models.__file__)
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_module_compiles_with_warnings_as_errors(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(), str(path), "exec")

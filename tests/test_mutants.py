@@ -1,0 +1,93 @@
+"""The curated mutants: source patches applied for one block and undone."""
+
+import importlib
+import inspect
+import sys
+import textwrap
+
+import pytest
+
+from pregerst.grading import SHIFT1, GeneratorRegistry
+from pregerst.mutations import ALL_MUTATION_NAMES, PATCHES, mutant
+from pregerst.suites import SuiteConfig, run_suite
+from pregerst.words import Gen, Tensor, mu_word
+
+
+def live_function(patch):
+    obj = importlib.import_module("pregerst." + patch.module)
+    for part in patch.function.split("."):
+        obj = getattr(obj, part)
+    return inspect.unwrap(obj)
+
+
+def package_code():
+    """The code object of every function and method in the package."""
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if name != "pregerst" and not name.startswith("pregerst."):
+            continue
+        owners = [module] + [c for c in vars(module).values()
+                             if inspect.isclass(c) and c.__module__ == name]
+        for owner in owners:
+            for attr, value in vars(owner).items():
+                fn = inspect.unwrap(getattr(value, "__func__", value))
+                if inspect.isfunction(fn):
+                    out[(name, owner.__name__, attr)] = fn.__code__
+    return out
+
+
+def test_the_ten_curated_names_in_order():
+    assert ALL_MUTATION_NAMES == [
+        "mu2_identity", "shuffle_unsigned", "r2_bracket_plus", "m_tail_sign_drop",
+        "kappa_head_sign_drop", "kappa_prime_prefix_drop", "zinf_q2_sign_drop",
+        "l2_sym_sign_flip", "wedge_scale_drop", "embed_unsigned",
+    ]
+
+
+@pytest.mark.parametrize("name", ALL_MUTATION_NAMES)
+def test_each_snippet_occurs_once_in_its_target(name):
+    patch = PATCHES[name]
+    source = textwrap.dedent(inspect.getsource(live_function(patch)))
+    assert source.count(patch.old) == 1
+    assert patch.new != patch.old
+
+
+def test_unknown_name_is_refused():
+    with pytest.raises(ValueError):
+        with mutant("no_such_fault"):
+            pass
+
+
+@pytest.mark.parametrize("name", ALL_MUTATION_NAMES)
+def test_every_function_has_its_code_back_after_the_block(name):
+    before = package_code()
+    fn = live_function(PATCHES[name])
+    original = fn.__code__
+    with mutant(name):
+        assert fn.__code__ is not original
+    assert package_code() == before
+    with pytest.raises(ZeroDivisionError):
+        with mutant(name):
+            1 / 0
+    after = package_code()
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
+
+
+def test_a_table_built_under_a_mutant_does_not_survive_it():
+    reg = GeneratorRegistry()
+    word = Tensor(tuple(Gen(reg.declare("t%d" % i, 2)) for i in range(3)))
+    clean = mu_word(word, SHIFT1)
+    with mutant("mu2_identity"):
+        mutated = mu_word(word, SHIFT1)
+    assert mutated != clean
+    assert mu_word(word, SHIFT1) == clean
+
+
+def test_reports_after_mutation_sanity_equal_reports_before():
+    suites = ("leibniz-coalgebra", "mu-shuffle-lemma")
+    before = [run_suite(SuiteConfig(s)).structured_lines() for s in suites]
+    sanity = run_suite(SuiteConfig("mutation-sanity"))
+    assert sanity.passed == len(ALL_MUTATION_NAMES)
+    after = [run_suite(SuiteConfig(s)).structured_lines() for s in suites]
+    assert after == before

@@ -236,6 +236,20 @@ def test_sym_product_associative_commutative():
         assert sym_product(a, b, SHIFT2) == sym_product(b, a, SHIFT2).scaled(sign)
 
 
+def test_generators_sharing_a_name_sort_by_degree():
+    # two generators with one name and different degrees must not tie in the
+    # sort order, or sym_word keeps the order given and one product has two forms
+    a2 = Gen(GeneratorRegistry().declare("a", 2))
+    a3 = Gen(GeneratorRegistry().declare("a", 3))
+    s1, w1 = sym_word([a2, a3], SHIFT1)
+    s2, w2 = sym_word([a3, a2], SHIFT1)
+    assert w1 is w2 and w1.factors == (a2, a3) and s1 == s2 == 1
+    total = Element.single(w1, s1) + Element.single(w2, s2)
+    assert element_to_text(total) == "2/1 * S(a,a)"
+    # a2 is odd in SHIFT1, and its two copies now meet
+    assert sym_word([a2, a3, a2], SHIFT1) == (0, None)
+
+
 def test_embed_examples(reg):
     x, y = gens(reg, [("x", 2), ("y", 2)])  # deg' 0
     out = embed_sym_into_pair(Sym((Tensor((x,)),)), SHIFT2)

@@ -57,16 +57,15 @@ from .words import (
     Pair,
     Sym,
     Tensor,
+    canonical_term,
     degree,
     element_to_text,
     embed_sym_into_pair,
-    is_canonical,
     is_pair_over_gens,
     is_pair_over_tensors,
     is_sym_of,
     is_tensor_of_gens,
     mu_word,
-    normalize_word,
     sym_insert,
 )
 
@@ -144,15 +143,6 @@ def _factor_cut_table(parities, s):
     return tuple(out)
 
 
-def _canonical_term(word, coeff, factors, view):
-    """(word, coeff) when the symmetric factors it splits are in canonical
-    order, else the normal form of coeff * word, (None, 0) if that is zero."""
-    if is_canonical(factors, view):
-        return word, coeff
-    sign, word = normalize_word(word, view)
-    return word, coeff * sign
-
-
 # ---------------------------------------------------------------------------
 # coproducts
 # ---------------------------------------------------------------------------
@@ -220,7 +210,7 @@ def delta_perm(elem: Element, view: GradingView = SHIFT2) -> Element:
     for word, coeff in elem.items():
         if not isinstance(word, Pair):
             raise SchemaError("delta_perm expects pair words")
-        word, coeff = _canonical_term(word, coeff, word.tail.factors, view)
+        word, coeff = canonical_term(word, coeff, word.tail.factors, view)
         if word is None:
             continue
         factors = word.tail.factors
@@ -260,7 +250,7 @@ def kappa_prime_sym(elem: Element, view: GradingView = SHIFT2,
     for word, coeff in elem.items():
         if not (isinstance(word, Sym) and all(isinstance(f, Tensor) for f in word.factors)):
             raise SchemaError("kappa_prime expects symmetric words of tensor factors")
-        word, coeff = _canonical_term(word, coeff, word.factors, view)
+        word, coeff = canonical_term(word, coeff, word.factors, view)
         if word is None:
             continue
         factors = word.factors
@@ -320,7 +310,7 @@ def kappa(elem: Element, view: GradingView = SHIFT2,
     for word, coeff in elem.items():
         if not isinstance(word, Pair) or not isinstance(word.head, Tensor):
             raise SchemaError("kappa expects pair words with tensor heads")
-        word, coeff = _canonical_term(word, coeff, word.tail.factors, view)
+        word, coeff = canonical_term(word, coeff, word.tail.factors, view)
         if word is None:
             continue
         head = word.head

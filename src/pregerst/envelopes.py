@@ -21,11 +21,27 @@ Signs on the pair-word space are deg' signs; signs inside tensor words are
 deg signs.  The slot maps return Elements over atoms, so every operation is
 the multilinear extension of its atom-level formula.  Every checker reports
 its defect through one path, _report.
+
+Images.  r2_words and zinfinity_d_word keep each image they compute in the
+context's images dict and return a copy of it, so every map built on them
+(r2, D, m, R, Q) computes the image of a given word or pair of words once per
+context.  An image is stored only when its computation completes, so a term
+cap abort stores nothing.  The suites build one context per instance, so no
+image outlives its instance; EnvelopeContext.cache_clear(), which mutant
+calls on entry and exit, empties the images of every live context.
+
+Canonical tails.  m_map, r_map, prelie_envelope_q and l_infinity_q check
+once per input word that its symmetric factors are in canonical order and
+normalize it if not.  A sub-tail of a canonical tail is then a Sym as it
+stands, with sign 1, and one new factor joins a sub-tail through sym_insert;
+a factor replaced in its slot is first moved to the front, with its Koszul
+sign.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 from .errors import SchemaError, UnsupportedModelError
 from .grading import SHIFT1, SHIFT2, rearrangement_sign
@@ -34,7 +50,9 @@ from .words import (
     Element,
     Gen,
     Pair,
+    Sym,
     Tensor,
+    canonical_term,
     degree,
     element_to_text,
     is_pair_over_gens,
@@ -43,12 +61,28 @@ from .words import (
     is_tensor_of_gens,
     require,
     shuffle_factors,
-    sym_word,
+    sym_insert,
 )
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class EnvelopeContext:
+    """A model and the images of r2_words and zinfinity_d_word computed over
+    it so far, keyed by (x, y) and by the word.  Contexts compare by
+    identity; EnvelopeContext.cache_clear() empties the images of every live
+    one."""
+
     model: AlgebraModel
+    images: dict = field(init=False, default_factory=dict, repr=False)
+    _live = weakref.WeakSet()
+
+    def __post_init__(self):
+        EnvelopeContext._live.add(self)
+
+    @classmethod
+    def cache_clear(cls):
+        for ctx in list(cls._live):
+            ctx.images.clear()
 
     def require_algebra(self):
         if isinstance(self.model, FormalModel):
@@ -87,7 +121,21 @@ def _q2_wedge(ctx: EnvelopeContext, a: Gen, b: Gen) -> Element:
     return product
 
 
+def _image(ctx: EnvelopeContext, key, body, *args) -> Element:
+    """A copy of ctx's image under key, computed by body(ctx, *args) and
+    stored the first time it is asked for; an aborted body stores nothing."""
+    images = ctx.images
+    image = images.get(key)
+    if image is None:
+        image = images[key] = body(ctx, *args)
+    return image.copy()
+
+
 def zinfinity_d_word(ctx: EnvelopeContext, word: Tensor) -> Element:
+    return _image(ctx, word, _zinfinity_d_word, word)
+
+
+def _zinfinity_d_word(ctx: EnvelopeContext, word: Tensor) -> Element:
     model = ctx.model
     factors = word.factors
     n = len(factors)
@@ -134,6 +182,10 @@ def _bracket_atoms(ctx: EnvelopeContext, a: Gen, b: Gen) -> Element:
 
 def r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     """The pre-Lie extension on a pair of tensor words; length p+q-1 output."""
+    return _image(ctx, (x, y), _r2_words, x, y)
+
+
+def _r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     model = ctx.model
     xs, ys = x.factors, y.factors
     p, q = len(xs), len(ys)
@@ -212,6 +264,9 @@ def prelie_envelope_q(ctx: EnvelopeContext, elem: Element) -> Element:
     model = ctx.model
     out = Element.zero()
     for word, coeff in elem.items():
+        word, coeff = canonical_term(word, coeff, word.tail.factors, SHIFT2)
+        if word is None:
+            continue
         head = word.head
         tail = word.tail.factors
         n = len(tail)
@@ -224,21 +279,24 @@ def prelie_envelope_q(ctx: EnvelopeContext, elem: Element) -> Element:
             head_sign = -1 if hdeg & 1 else 1
             for k in range(n):
                 pref = -1 if sum(tdegs[:k]) & 1 else 1
+                rest = tail[:k] + tail[k + 1:]
                 for g, c in model.differential_atom(tail[k].gen).items():
-                    s, sw = sym_word(tail[:k] + (Gen(g),) + tail[k + 1:], SHIFT2)
+                    # d tail_k moves from slot k to the front, then sorts in
+                    dk = Gen(g)
+                    lead = -1 if (dk.degrees[SHIFT2] & 1 and sum(tdegs[:k]) & 1) else 1
+                    s, sw = sym_insert(dk, rest, SHIFT2, True)
                     if sw is not None:
-                        out.add_term(Pair(head, sw), coeff * head_sign * pref * c * s)
+                        out.add_term(Pair(head, sw),
+                                     coeff * head_sign * pref * c * lead * s)
         # head paired with one tail factor
         for j in range(n):
             eps = -1 if (tdegs[j] & 1 and sum(tdegs[:j]) & 1) else 1
             q2 = model.diamond_atoms(head.gen, tail[j].gen)
             sgn = -1 if hdeg & 1 else 1
-            rest = tail[:j] + tail[j + 1:]
-            srest, rest_sym = sym_word(rest, SHIFT2)
-            if rest_sym is None:
-                continue
+            # a sub-tail of a canonical tail is canonical
+            rest_sym = Sym(tail[:j] + tail[j + 1:])
             for g, c in q2.items():
-                out.add_term(Pair(Gen(g), rest_sym), coeff * eps * sgn * c * srest)
+                out.add_term(Pair(Gen(g), rest_sym), coeff * eps * sgn * c)
         # two tail factors paired, head untouched
         head_sign = -1 if hdeg & 1 else 1
         for a in range(n):
@@ -249,9 +307,9 @@ def prelie_envelope_q(ctx: EnvelopeContext, elem: Element) -> Element:
                 eps = rearrangement_sign(tdegs, [a, b] + rest_idx)
                 q2 = model.diamond_atoms(tail[a].gen, tail[b].gen)
                 sgn = -1 if tdegs[a] & 1 else 1
-                rest = [tail[i] for i in rest_idx]
+                rest = tuple(tail[i] for i in rest_idx)
                 for g, c in q2.items():
-                    s, sw = sym_word([Gen(g)] + rest, SHIFT2)
+                    s, sw = sym_insert(Gen(g), rest, SHIFT2, True)
                     if sw is not None:
                         out.add_term(Pair(head, sw), coeff * head_sign * eps * sgn * c * s)
     return out
@@ -266,14 +324,18 @@ def l_infinity_q(ctx: EnvelopeContext, elem: Element) -> Element:
     model = ctx.model
     out = Element.zero()
     for word, coeff in elem.items():
+        word, coeff = canonical_term(word, coeff, word.factors, SHIFT2)
+        if word is None:
+            continue
         factors = word.factors
         n = len(factors)
         degs = [degree(f, SHIFT2) for f in factors]
         if model.has_differential:
             for i in range(n):
                 eps = -1 if (degs[i] & 1 and sum(degs[:i]) & 1) else 1
+                rest = factors[:i] + factors[i + 1:]
                 for g, c in model.differential_atom(factors[i].gen).items():
-                    s, sw = sym_word((Gen(g),) + factors[:i] + factors[i + 1:], SHIFT2)
+                    s, sw = sym_insert(Gen(g), rest, SHIFT2, True)
                     if sw is not None:
                         out.add_term(sw, coeff * eps * c * s)
         for i in range(n):
@@ -282,9 +344,9 @@ def l_infinity_q(ctx: EnvelopeContext, elem: Element) -> Element:
                 eps = rearrangement_sign(degs, [i, j] + rest_idx)
                 br = _bracket_atoms(ctx, factors[i], factors[j])
                 sgn = -1 if degs[i] & 1 else 1
-                rest = [factors[k] for k in rest_idx]
+                rest = tuple(factors[k] for k in rest_idx)
                 for g, c in br.items():
-                    s, sw = sym_word([Gen(g)] + rest, SHIFT2)
+                    s, sw = sym_insert(Gen(g), rest, SHIFT2, True)
                     if sw is not None:
                         out.add_term(sw, coeff * eps * sgn * c * s)
     return out
@@ -300,6 +362,9 @@ def m_map(ctx: EnvelopeContext, elem: Element) -> Element:
     require(elem, is_pair_over_tensors, "pair words over tensor words")
     out = Element.zero()
     for word, coeff in elem.items():
+        word, coeff = canonical_term(word, coeff, word.tail.factors, SHIFT2)
+        if word is None:
+            continue
         head = word.head
         tail = word.tail.factors
         x0p = degree(head, SHIFT2)
@@ -312,7 +377,7 @@ def m_map(ctx: EnvelopeContext, elem: Element) -> Element:
                 eps = -1 if (tdegs[j] & 1 and sum(tdegs[:j]) & 1) else 1
                 rest = tail[:j] + tail[j + 1:]
                 for w, c in zinfinity_d_word(ctx, tail[j]).items():
-                    s, sw = sym_word((w,) + rest, SHIFT2)
+                    s, sw = sym_insert(w, rest, SHIFT2, True)
                     if sw is not None:
                         out.add_term(Pair(head, sw), coeff * pref * eps * c * s)
     return out
@@ -325,6 +390,9 @@ def r_map(ctx: EnvelopeContext, elem: Element) -> Element:
     require(elem, is_pair_over_tensors, "pair words over tensor words")
     out = Element.zero()
     for word, coeff in elem.items():
+        word, coeff = canonical_term(word, coeff, word.tail.factors, SHIFT2)
+        if word is None:
+            continue
         head = word.head
         tail = word.tail.factors
         n = len(tail)
@@ -332,20 +400,18 @@ def r_map(ctx: EnvelopeContext, elem: Element) -> Element:
         tdegs = [degree(f, SHIFT2) for f in tail]
         for i in range(n):
             eps = -1 if (tdegs[i] & 1 and sum(tdegs[:i]) & 1) else 1
-            rest = tail[:i] + tail[i + 1:]
-            srest, rest_sym = sym_word(rest, SHIFT2)
-            if rest_sym is None:
-                continue
+            # a sub-tail of a canonical tail is canonical
+            rest_sym = Sym(tail[:i] + tail[i + 1:])
             for w, c in r2_shifted(ctx, head, tail[i]).items():
-                out.add_term(Pair(w, rest_sym), coeff * eps * c * srest)
+                out.add_term(Pair(w, rest_sym), coeff * eps * c)
         pref = -1 if x0p & 1 else 1
         for i in range(n):
             for j in range(i + 1, n):
                 rest_idx = [k for k in range(n) if k != i and k != j]
                 eps = rearrangement_sign(tdegs, [i, j] + rest_idx)
-                rest = [tail[k] for k in rest_idx]
+                rest = tuple(tail[k] for k in rest_idx)
                 for w, c in l2(ctx, tail[i], tail[j]).items():
-                    s, sw = sym_word([w] + rest, SHIFT2)
+                    s, sw = sym_insert(w, rest, SHIFT2, True)
                     if sw is not None:
                         out.add_term(Pair(head, sw), coeff * pref * eps * c * s)
     return out
@@ -412,12 +478,13 @@ def check_coderivation(coproduct, cop_degree: int, q: Coderivation,
 def check_r2_prelie(ctx: EnvelopeContext, x: Element, y: Element,
                     z: Element) -> DefectReport:
     """Pre-Lie relation for r2: the associator is deg-symmetric in the last
-    two arguments."""
+    two arguments.  A zero argument gives the zero defect."""
     dy = y.homogeneous_degree(SHIFT1)
     dz = z.homogeneous_degree(SHIFT1)
-    if dy is None or dz is None:
+    if (dy is None and not y.is_zero()) or (dz is None and not z.is_zero()):
         raise SchemaError("pre-Lie relation needs homogeneous arguments")
-    sign = -1 if (dy & 1 and dz & 1) else 1
+    # with y or z zero both sides vanish whatever the sign
+    sign = -1 if (dy or 0) & (dz or 0) & 1 else 1
     lhs = r2(ctx, r2(ctx, x, y), z) - r2(ctx, x, r2(ctx, y, z))
     rhs = r2(ctx, r2(ctx, x, z), y) - r2(ctx, x, r2(ctx, z, y))
     defect = lhs - rhs.scaled(sign)
@@ -426,12 +493,14 @@ def check_r2_prelie(ctx: EnvelopeContext, x: Element, y: Element,
 
 
 def check_r2_derivation(ctx: EnvelopeContext, x: Element, y: Element) -> DefectReport:
-    """D is a derivation of r2: D r2(x,y) = r2(Dx, y) + (-1)^{deg x} r2(x, Dy)."""
+    """D is a derivation of r2: D r2(x,y) = r2(Dx, y) + (-1)^{deg x} r2(x, Dy).
+    A zero argument gives the zero defect."""
     dx = x.homogeneous_degree(SHIFT1)
-    if dx is None:
+    if dx is None and not x.is_zero():
         raise SchemaError("derivation check needs homogeneous first argument")
     d = lambda e: zinfinity_d(ctx, e)
-    sign = -1 if dx & 1 else 1
+    # with x zero every term vanishes whatever the sign
+    sign = -1 if (dx or 0) & 1 else 1
     defect = d(r2(ctx, x, y)) - r2(ctx, d(x), y) - r2(ctx, x, d(y)).scaled(sign)
     text = "; ".join(element_to_text(e) for e in (x, y))
     return _report("r2-derivation", text, defect)

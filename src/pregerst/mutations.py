@@ -12,9 +12,10 @@ requires the snippet to occur in its dedented source exactly once, compiles
 the edited source in a copy of the function's globals and swaps the new code
 object into the live function, so every caller in the package runs the
 fault; a finally puts the original code back.  Every lru_cache in the
-package is cleared on entry and on exit, so no table built without the fault
-is read inside the block and none built with it outlives the block.  A
-mutant changes the whole process: run one at a time, from one thread.
+package and the images of every live EnvelopeContext are cleared on entry and
+on exit, so no table or image built without the fault is read inside the
+block and none built with it outlives the block.  A mutant changes the whole
+process: run one at a time, from one thread.
 """
 
 from __future__ import annotations
@@ -86,7 +87,9 @@ def _mutated_code(fn, patch: Patch):
 
 
 def _clear_caches():
-    """Clear every lru_cache held at the top level of a package module."""
+    """Call cache_clear on everything at the top level of a package module
+    that has it: each lru_cache, and EnvelopeContext, which empties the
+    images of every live context."""
     for name, module in list(sys.modules.items()):
         if name == __package__ or name.startswith(__package__ + "."):
             for obj in vars(module).values():

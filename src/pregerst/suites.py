@@ -8,6 +8,8 @@ two runs with the same configuration are byte-identical.
 
 Sampling is a pure function of (seed, suite, instance index); models are
 immutable; nothing in a run depends on iteration order of anything unsorted.
+An instance that uses the envelopes builds its own EnvelopeContext when it
+runs, so the images it keeps go with it.
 
 Instances that blow past the term cap abort explicitly: an abort is a third
 state, never silently folded into pass or fail.
@@ -403,7 +405,6 @@ def _build_kappa_compat(config):
 
 def _build_r2_prelie(config):
     model = _forms_model(config)
-    ctx = EnvelopeContext(model)
     out = []
     for i in range(config.samples):
         rng = _rng(config, i)
@@ -413,7 +414,7 @@ def _build_r2_prelie(config):
         text = "; ".join(element_to_text(e) for e in (x, y, z))
 
         def thunk(x=x, y=y, z=z):
-            rep = check_r2_prelie(ctx, x, y, z)
+            rep = check_r2_prelie(EnvelopeContext(model), x, y, z)
             return rep.ok, rep.defect_text
         out.append(Instance("r2_prelie", text, thunk))
     return out
@@ -421,7 +422,6 @@ def _build_r2_prelie(config):
 
 def _build_r2_derivation(config):
     model = _forms_model(config)
-    ctx = EnvelopeContext(model)
     out = []
     for i in range(config.samples):
         rng = _rng(config, i)
@@ -430,7 +430,7 @@ def _build_r2_derivation(config):
         text = "; ".join(element_to_text(e) for e in (x, y))
 
         def thunk(x=x, y=y):
-            rep = check_r2_derivation(ctx, x, y)
+            rep = check_r2_derivation(EnvelopeContext(model), x, y)
             return rep.ok, rep.defect_text
         out.append(Instance("r2_derivation", text, thunk))
     return out
@@ -438,7 +438,6 @@ def _build_r2_derivation(config):
 
 def _build_zinf_square(config):
     model = _forms_model(config)
-    ctx = EnvelopeContext(model)
     out = []
     for i in range(config.samples):
         rng = _rng(config, i)
@@ -447,6 +446,7 @@ def _build_zinf_square(config):
         elem = Element.single(w)
 
         def thunk(elem=elem):
+            ctx = EnvelopeContext(model)
             res = zinfinity_d(ctx, zinfinity_d(ctx, elem))
             return res.is_zero(), "zero" if res.is_zero() else element_to_text(res)
         out.append(Instance("zinf_square", element_to_text(elem), thunk))
@@ -455,7 +455,6 @@ def _build_zinf_square(config):
 
 def _build_prelinf_square(config):
     model = _forms_model(config)
-    ctx = EnvelopeContext(model)
     out = []
     for i in range(config.samples):
         rng = _rng(config, i)
@@ -469,6 +468,7 @@ def _build_prelinf_square(config):
         elem = Element.single(Pair(head, tail), sign)
 
         def thunk(elem=elem):
+            ctx = EnvelopeContext(model)
             res = prelie_envelope_q(ctx, prelie_envelope_q(ctx, elem))
             return res.is_zero(), "zero" if res.is_zero() else element_to_text(res)
         out.append(Instance("prelinf_square", element_to_text(elem), thunk))
@@ -477,7 +477,6 @@ def _build_prelinf_square(config):
 
 def _build_linf_square(config):
     model = _forms_model(config)
-    ctx = EnvelopeContext(model)
     out = []
     for i in range(config.samples):
         rng = _rng(config, i)
@@ -489,6 +488,7 @@ def _build_linf_square(config):
         elem = Element.single(w, sign)
 
         def thunk(elem=elem):
+            ctx = EnvelopeContext(model)
             res = l_infinity_q(ctx, l_infinity_q(ctx, elem))
             return res.is_zero(), "zero" if res.is_zero() else element_to_text(res)
         out.append(Instance("linf_square", element_to_text(elem), thunk))
@@ -497,7 +497,6 @@ def _build_linf_square(config):
 
 def _build_q_square(config):
     model = _forms_model(config)
-    ctx = EnvelopeContext(model)
     out = []
     for i in range(config.samples):
         rng = _rng(config, i)
@@ -507,6 +506,7 @@ def _build_q_square(config):
             continue
 
         def thunk(elem=elem):
+            ctx = EnvelopeContext(model)
             res = q_total(ctx, q_total(ctx, elem))
             return res.is_zero(), "zero" if res.is_zero() else element_to_text(res)
         out.append(Instance("q_square", element_to_text(elem), thunk))
@@ -516,8 +516,6 @@ def _build_q_square(config):
 def _coderiv_suite(which):
     def build(config):
         model = _forms_model(config)
-        ctx = EnvelopeContext(model)
-        q = coderivation_q(ctx)
         out = []
         for i in range(config.samples):
             rng = _rng(config, i)
@@ -535,6 +533,7 @@ def _coderiv_suite(which):
                 check_id = "coderiv_kappa_Q"
 
             def thunk(elem=elem, cop=cop, cop_degree=cop_degree):
+                q = coderivation_q(EnvelopeContext(model))
                 rep = check_coderivation(cop, cop_degree, q, elem)
                 return rep.ok, rep.defect_text
             out.append(Instance(check_id, element_to_text(elem), thunk))
@@ -569,7 +568,6 @@ def _build_mutation_sanity(config):
         out.append(Instance("mutation:%s->%s" % (name, check), input_text, thunk, True))
 
     model = _forms_model(config)
-    ctx = EnvelopeContext(model)
     a_u1, a_u2 = model.atom((1, 0), ()), model.atom((0, 1), ())
 
     def forms_pair(head_atoms, tail_lists):
@@ -609,7 +607,7 @@ def _build_mutation_sanity(config):
     def r2_run():
         x = Element.single(Tensor((Gen(a_u1), Gen(a_u1))))
         y = Element.single(Tensor((Gen(a_u1),)))
-        rep = check_r2_derivation(ctx, x, y)
+        rep = check_r2_derivation(EnvelopeContext(model), x, y)
         return ("" if rep.ok else rep.defect_text)
     add("r2_bracket_plus", "r2_derivation", "x = u1 (x) u1, y = u1", r2_run)
 
@@ -618,7 +616,7 @@ def _build_mutation_sanity(config):
     def m_run():
         elem = forms_pair((a_u1,), ((a_u1, a_u1),))
         rep = check_coderivation(lambda e: delta_perm(e, SHIFT2), 0,
-                                 coderivation_m(ctx), elem)
+                                 coderivation_m(EnvelopeContext(model)), elem)
         return ("" if rep.ok else rep.defect_text)
     add("m_tail_sign_drop", "coderiv_delta", "P(T(u1); S(T(u1,u1)))", m_run)
 
@@ -647,6 +645,7 @@ def _build_mutation_sanity(config):
     # hits odd-degree product atoms and no longer cancels.
     def zq_run():
         w = Tensor((Gen(a_u1), Gen(a_u2), Gen(a_u1)))
+        ctx = EnvelopeContext(model)
         res = zinfinity_d(ctx, zinfinity_d(ctx, Element.single(w)))
         return ("" if res.is_zero() else element_to_text(res))
     add("zinf_q2_sign_drop", "zinf_square", "T(u1,u2,u1)", zq_run)
@@ -654,6 +653,7 @@ def _build_mutation_sanity(config):
     # 8. l2 antisymmetrised instead of symmetrised: Q^2 != 0.
     def l2_run():
         elem = forms_pair((a_u1,), ((a_u1,), (a_u1, a_u1)))
+        ctx = EnvelopeContext(model)
         res = q_total(ctx, q_total(ctx, elem))
         return ("" if res.is_zero() else element_to_text(res))
     add("l2_sym_sign_flip", "q_square", "P(T(u1); S(T(u1),T(u1,u1)))", l2_run)

@@ -33,9 +33,9 @@ sorted or printed never gets one, so building words costs nothing extra.
 sym_word and element_to_text read the cached keys.  sym_insert puts one new
 factor into factors already in canonical order: it walks to the factor's slot
 by key and signs the factors it passes, with no sort.  is_canonical tells
-whether sym_word would leave factors as they are; the coproducts check their
-inputs with it and normalize any that fail, because their shortcuts assume
-canonical tails.
+whether sym_word would leave factors as they are; through canonical_term the
+coproducts and the envelope maps check their inputs with it and normalize any
+that fail, because their shortcuts assume canonical tails.
 
 Degrees.  A word computes its degree in all three views once, when it is
 built, and degree() reads it as word.degrees[view] (a GradingView is an int).
@@ -297,6 +297,15 @@ def is_canonical(factors, view: GradingView) -> bool:
     return True
 
 
+def canonical_term(word, coeff, factors, view: GradingView):
+    """(word, coeff) when the symmetric factors it splits are in canonical
+    order, else the normal form of coeff * word, (None, 0) if that is zero."""
+    if is_canonical(factors, view):
+        return word, coeff
+    sign, word = normalize_word(word, view)
+    return word, coeff * sign
+
+
 EMPTY_SYM = Sym(())
 
 
@@ -378,6 +387,11 @@ class Element:
         add = out.add_term
         for k, c in other.terms.items():
             add(k, -c)
+        return out
+
+    def copy(self) -> "Element":
+        out = Element()
+        out.terms = dict(self.terms)
         return out
 
     def __neg__(self) -> "Element":

@@ -23,7 +23,7 @@ from pregerst.envelopes import (
     r_map,
     zinfinity_d,
 )
-from pregerst.errors import UnsupportedModelError
+from pregerst.errors import SchemaError, UnsupportedModelError
 from pregerst.grading import SHIFT1, SHIFT2
 from pregerst.models import FormalModel, FormsModel
 from pregerst.mutations import mutant
@@ -35,6 +35,8 @@ from pregerst.words import (
     Tensor,
     degree,
     element_to_text,
+    normalize,
+    sym_insert,
     sym_word,
 )
 
@@ -182,6 +184,22 @@ def test_r2_mutations_detected(ctx):
     assert not mu(2, sh, SHIFT1).is_zero()
 
 
+def test_checkers_give_the_zero_defect_on_a_zero_argument(ctx):
+    u1 = Element.single(Tensor((Gen(atoms(ctx.model)["u1"]),)))
+    zero = Element()
+    for args in [(u1, zero, u1), (u1, u1, zero), (zero, u1, u1)]:
+        rep = check_r2_prelie(ctx, *args)
+        assert rep.ok and rep.defect_text == "zero"
+    for args in [(zero, u1), (u1, zero)]:
+        rep = check_r2_derivation(ctx, *args)
+        assert rep.ok and rep.defect_text == "zero"
+    mixed = u1 + Element.single(Tensor((Gen(atoms(ctx.model)["du1"]),)))
+    with pytest.raises(SchemaError):
+        check_r2_prelie(ctx, u1, mixed, u1)
+    with pytest.raises(SchemaError):
+        check_r2_derivation(ctx, mixed, u1)
+
+
 def test_formal_model_rejected(ctx):
     formal = EnvelopeContext(FormalModel())
     g = Gen(formal.model.generator("x", 2))
@@ -194,6 +212,76 @@ def test_formal_model_rejected(ctx):
 # ---------------------------------------------------------------------------
 # generator-level envelopes
 # ---------------------------------------------------------------------------
+
+def test_sub_tails_and_insertions_match_sym_word():
+    """The envelope maps' shortcuts on a canonical tail: a sub-tail is
+    canonical with sign 1, a new factor joins it through sym_insert, and a
+    factor replaced in its slot is moved to the front first."""
+    model = FormsModel(2)
+    rng = random.Random(6151)
+    gens = [Gen(model.sample_atom(rng, max_poly_degree=1)) for _ in range(4)]
+    pool = gens + [rand_word(model, rng, rng.randint(1, 2)) for _ in range(6)]
+    seen = {"even repeat": 0, "odd factor": 0, "odd collision": 0}
+    cases = 0
+    while cases < 300:
+        _, tail = sym_word(rng.choices(pool, k=rng.randint(1, 5)), SHIFT2)
+        if tail is None:
+            continue
+        tail = tail.factors
+        cases += 1
+        seen["even repeat"] += any(a is b for a, b in zip(tail, tail[1:]))
+        for j in range(len(tail)):
+            rest = tail[:j] + tail[j + 1:]
+            assert sym_word(rest, SHIFT2) == (1, Sym(rest))
+            w = rng.choice(pool)
+            odd = w.degrees[SHIFT2] & 1
+            seen["odd factor"] += odd
+            seen["odd collision"] += odd and w in rest
+            s, sw = sym_insert(w, rest, SHIFT2, True)
+            assert sym_word((w,) + rest, SHIFT2) == (s, sw)
+            lead = -1 if odd and sum(f.degrees[SHIFT2] for f in tail[:j]) & 1 else 1
+            expected = sym_word(tail[:j] + (w,) + tail[j + 1:], SHIFT2)
+            assert expected == ((lead * s, sw) if sw is not None else (0, None))
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("differential", [False, True])
+def test_envelope_maps_on_a_non_canonical_tail_equal_them_on_its_normal_form(differential):
+    model = FormsModel(2, exterior_differential=differential)
+    ctx = EnvelopeContext(model)
+    rng = random.Random(2718 + differential)
+    tensors = [rand_word(model, rng, rng.randint(1, 2)) for _ in range(5)]
+    gens = [Gen(model.sample_atom(rng, max_poly_degree=1)) for _ in range(5)]
+    unsorted = nonzero = 0
+    for _ in range(80):
+        head = rand_word(model, rng, rng.randint(1, 2))
+        raw = Element.single(Pair(head, Sym(tuple(rng.choices(tensors, k=rng.randint(0, 3))))))
+        norm = normalize(raw, SHIFT2)
+        unsorted += norm != raw
+        for fn in (m_map, r_map, q_total):
+            assert fn(ctx, raw) == fn(ctx, norm)
+        nonzero += not q_total(ctx, norm).is_zero()
+        tail = Sym(tuple(rng.choices(gens, k=rng.randint(1, 3))))
+        raw = Element.single(Pair(rng.choice(gens), tail))
+        assert prelie_envelope_q(ctx, raw) == prelie_envelope_q(ctx, normalize(raw, SHIFT2))
+        raw = Element.single(tail)
+        assert l_infinity_q(ctx, raw) == l_infinity_q(ctx, normalize(raw, SHIFT2))
+    assert unsorted > 20 and nonzero > 20
+
+
+def test_prelie_envelope_square_with_the_exterior_differential():
+    ctx = EnvelopeContext(FormsModel(2, exterior_differential=True))
+    rng = random.Random(3)
+    checked = 0
+    for trial in range(100):
+        gens = [Gen(ctx.model.sample_atom(rng, max_poly_degree=2)) for _ in range(4)]
+        sign, tail = sym_word(gens[1:1 + rng.randint(0, 3)], SHIFT2)
+        if tail is None:
+            continue
+        once = prelie_envelope_q(ctx, Element.single(Pair(gens[0], tail), sign))
+        checked += not once.is_zero()
+        assert prelie_envelope_q(ctx, once).is_zero()
+    assert checked > 50
 
 def test_prelie_envelope_square(ctx):
     rng = random.Random(8)

@@ -7,10 +7,12 @@ import textwrap
 
 import pytest
 
+from pregerst.envelopes import EnvelopeContext, check_r2_derivation, zinfinity_d
 from pregerst.grading import SHIFT1, GeneratorRegistry
+from pregerst.models import FormsModel
 from pregerst.mutations import ALL_MUTATION_NAMES, PATCHES, mutant
 from pregerst.suites import SuiteConfig, run_suite
-from pregerst.words import Gen, Tensor, mu_word
+from pregerst.words import Element, Gen, Tensor, mu_word
 
 
 def live_function(patch):
@@ -82,6 +84,30 @@ def test_a_table_built_under_a_mutant_does_not_survive_it():
         mutated = mu_word(word, SHIFT1)
     assert mutated != clean
     assert mu_word(word, SHIFT1) == clean
+
+
+def _d_squares_to_zero(ctx, u1, u2):
+    w = Element.single(Tensor((u1, u2, u1)))
+    return zinfinity_d(ctx, zinfinity_d(ctx, w)).is_zero()
+
+
+def _d_derives_r2(ctx, u1, u2):
+    x, y = Element.single(Tensor((u1, u1))), Element.single(Tensor((u1,)))
+    return check_r2_derivation(ctx, x, y).ok
+
+
+@pytest.mark.parametrize("name, law", [("zinf_q2_sign_drop", _d_squares_to_zero),
+                                       ("r2_bracket_plus", _d_derives_r2)])
+def test_a_warm_envelope_context_reads_no_image_across_the_block(name, law):
+    """The fault sits under an image the context keeps: a stale image would
+    hide it inside the block, or keep it after."""
+    model = FormsModel(2)
+    ctx = EnvelopeContext(model)
+    u1, u2 = Gen(model.atom((1, 0), ())), Gen(model.atom((0, 1), ()))
+    assert law(ctx, u1, u2) and ctx.images
+    with mutant(name):
+        assert not law(ctx, u1, u2)
+    assert law(ctx, u1, u2)
 
 
 def test_reports_after_mutation_sanity_equal_reports_before():

@@ -6,7 +6,7 @@ Run as:  python3 demos/01_signs_and_shuffles.py
 from pregerst import (
     BASE, SHIFT1, SHIFT2,
     GeneratorRegistry, Permutation,
-    decalage_sign, koszul_sign, shuffles, shuffles_k1m,
+    koszul_sign, shuffles, shuffles_k1m,
 )
 
 print("Every symbol carries a base degree |x| and the two shifted degrees")
@@ -31,7 +31,3 @@ for p, q in [(1, 1), (2, 1), (2, 2), (0, 3)]:
 print("\nThe three-block variant with a free middle slot (used by the")
 print("permutative envelope):")
 print("  |Sh_{1,1,1}| =", len(shuffles_k1m(1, 1)), " on 3 letters")
-
-print("\nThe shift correspondence sign for an n-linear map:")
-print("  decalage_sign([1,1]) =", decalage_sign([1, 1]))
-print("  decalage_sign([d])   =", decalage_sign([7]), " (a unary map never picks up a sign)")

@@ -7,7 +7,7 @@ Run as:  python3 demos/03_forms_model.py
 import random
 from fractions import Fraction
 
-from pregerst import AxiomId, FormsModel, admit_differential, check_axiom, element_to_text
+from pregerst import AxiomId, FormsModel, admit_differential, axiom_defect, element_to_text
 
 model = FormsModel(2)
 u1 = {model.atom((1, 0), ()): Fraction(1)}
@@ -32,7 +32,7 @@ axioms = [AxiomId.ZINBIEL, AxiomId.PRELIE, AxiomId.COMPAT_A, AxiomId.COMPAT_B,
           AxiomId.LEIBNIZ_GERST, AxiomId.AGUIAR_1, AxiomId.AGUIAR_2]
 triples = [[model.sample_form(rng) for _ in range(3)] for _ in range(100)]
 for axiom in axioms:
-    bad = sum(0 if check_axiom(model, axiom, args).ok else 1 for args in triples)
+    bad = sum(0 if axiom_defect(model, axiom, args).is_zero() else 1 for args in triples)
     print("  %-14s %s" % (axiom.value, "zero defect on all triples" if bad == 0
                           else "%d NONZERO DEFECTS" % bad))
 

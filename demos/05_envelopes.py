@@ -10,9 +10,8 @@ import random
 from pregerst import (
     SHIFT2,
     Element, EnvelopeContext, FormsModel, Gen, Pair, Sym, Tensor,
-    check_coderivation, check_r2_derivation, check_r2_prelie,
-    coderivation_m, coderivation_q, coderivation_r,
-    delta_perm, element_to_text, kappa, q_total, r2, sym_word, zinfinity_d,
+    coderivation_defect, delta_perm, element_to_text, kappa, m_map, q_total, r2,
+    r2_derivation_defect, r2_prelie_defect, r_map, sym_word, zinfinity_d,
 )
 
 model = FormsModel(2)
@@ -37,8 +36,8 @@ print("\nThe extension is a differential pre-Lie structure; 40 random checks:")
 bad = 0
 for _ in range(40):
     x, y, z = (Element.single(rand_word(L)) for L in (2, 2, 1))
-    bad += 0 if check_r2_prelie(ctx, x, y, z).ok else 1
-    bad += 0 if check_r2_derivation(ctx, x, y).ok else 1
+    bad += 0 if r2_prelie_defect(ctx, x, y, z).is_zero() else 1
+    bad += 0 if r2_derivation_defect(ctx, x, y).is_zero() else 1
 print("  nonzero defects:", bad)
 
 def rand_pair():
@@ -62,7 +61,7 @@ for _ in range(30):
         continue
     if not q_total(ctx, q_total(ctx, e)).is_zero():
         bad_sq += 1
-    if not check_coderivation(cop, 0, coderivation_q(ctx), e).ok:
+    if not coderivation_defect(ctx, q_total, cop, 0, e).is_zero():
         bad_cd += 1
 print("  Q^2 nonzero:", bad_sq, "  coderivation defects:", bad_cd)
 
@@ -71,10 +70,10 @@ print("the R half is not; the smallest counterexample:")
 sign, tail = sym_word([Tensor((u2, du1))], SHIFT2)
 e = Element.single(Pair(Tensor((u1,)), tail), sign)
 kop = lambda x: kappa(x, SHIFT2)
-rep_m = check_coderivation(kop, 1, coderivation_m(ctx), e)
-rep_r = check_coderivation(kop, 1, coderivation_r(ctx), e)
+defect_m = coderivation_defect(ctx, m_map, kop, 1, e)
+defect_r = coderivation_defect(ctx, r_map, kop, 1, e)
 print("  input:", element_to_text(e))
-print("  m defect:", rep_m.defect_text)
-print("  R defect:", rep_r.defect_text)
+print("  m defect:", "zero" if defect_m.is_zero() else element_to_text(defect_m))
+print("  R defect:", "zero" if defect_r.is_zero() else element_to_text(defect_r))
 print("\nThat residual is a genuine property of the construction, not an")
 print("implementation artifact; see the q-coderiv-kappa suite and the tests.")

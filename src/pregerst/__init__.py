@@ -9,7 +9,6 @@ over the rationals: zero tolerance, every defect is an explicit element.
 
 from .cooperations import (
     LawId,
-    check_law,
     cocrochet_lie,
     delta_cocom,
     delta_leibniz,
@@ -17,21 +16,18 @@ from .cooperations import (
     kappa,
     kappa_prime,
     kappa_prime_sym,
+    law_defect,
 )
 from .envelopes import (
-    Coderivation,
     EnvelopeContext,
-    check_coderivation,
-    check_r2_derivation,
-    check_r2_prelie,
-    coderivation_m,
-    coderivation_q,
-    coderivation_r,
+    coderivation_defect,
     l_infinity_q,
     m_map,
     prelie_envelope_q,
     q_total,
     r2,
+    r2_derivation_defect,
+    r2_prelie_defect,
     r_map,
     zinfinity_d,
 )
@@ -44,7 +40,6 @@ from .grading import (
     GeneratorRegistry,
     GradingView,
     Permutation,
-    decalage_sign,
     koszul_sign,
     rearrangement_sign,
     shuffles,
@@ -57,7 +52,6 @@ from .models import (
     FormsModel,
     admit_differential,
     axiom_defect,
-    check_axiom,
 )
 from .mutations import ALL_MUTATION_NAMES
 from .suites import SUITE_NAMES, SuiteConfig, VerificationReport, run_suite
@@ -76,7 +70,6 @@ from .words import (
     normalize,
     parse_element,
     shuffle_product,
-    signed_permute,
     sym_product,
     sym_word,
     word_to_text,

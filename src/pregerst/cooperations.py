@@ -31,9 +31,10 @@ products are materialised as pair-word elements via the embedding, so a
 coproduct on the pair-word space really lands in (that space) tensor (that
 space) and laws can be iterated.
 
-check_law expands both sides of a law to elements keyed by triples (or
-pairs) of words, subtracts, and reports the first nonzero defect exactly.
-All voltes are Koszul-signed in the law's grading view.
+law_defect expands both sides of a law to elements keyed by triples (or
+pairs) of words and returns their difference, the exact defect: the law
+holds on the input when it is zero.  All voltes are Koszul-signed in the
+law's grading view.
 
 delta_perm, kappa_prime_sym and kappa assume that the symmetric words they
 split are in canonical order: the parts of a canonical tail are canonical
@@ -45,7 +46,6 @@ pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
@@ -59,7 +59,6 @@ from .words import (
     Tensor,
     canonical_term,
     degree,
-    element_to_text,
     embed_sym_into_pair,
     is_pair_over_gens,
     is_pair_over_tensors,
@@ -358,21 +357,6 @@ def kappa(elem: Element, view: GradingView = SHIFT2,
 # law checking
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LawCheck:
-    law: LawId
-    input_text: str
-    defect: Element
-
-    @property
-    def ok(self) -> bool:
-        return self.defect.is_zero()
-
-    @property
-    def defect_text(self) -> str:
-        return "zero" if self.ok else element_to_text(self.defect)
-
-
 def _as_word_coproduct(cop, view):
     return lambda w: cop(Element.single(w), view)
 
@@ -380,7 +364,7 @@ def _as_word_coproduct(cop, view):
 def _law_defect(law: LawId, elem: Element, view: GradingView) -> Element:
     if law is LawId.COASSOC:
         d = delta_cocom(elem, view)
-        cop = lambda w: delta_cocom(Element.single(w), view)
+        cop = _as_word_coproduct(delta_cocom, view)
         return d.cosplit_leg(0, cop, 0, view) - d.cosplit_leg(1, cop, 0, view)
     if law is LawId.COCOMM:
         d = delta_cocom(elem, view)
@@ -398,7 +382,7 @@ def _law_defect(law: LawId, elem: Element, view: GradingView) -> Element:
         return a - a.volte(1, view)
     if law is LawId.COJACOBI_DELTA:
         d = cocrochet_lie(elem, view)
-        cop = lambda w: cocrochet_lie(Element.single(w), view)
+        cop = _as_word_coproduct(cocrochet_lie, view)
         b = d.cosplit_leg(0, cop, 0, view)
         return b + b.volte(1, view).volte(0, view) + b.volte(0, view).volte(1, view)
     if law is LawId.KAPPA_COSYM:
@@ -463,9 +447,9 @@ _LAW_SPACE_CHECK = {
 }
 
 
-def check_law(law: LawId, elem: Element, view: GradingView = None) -> LawCheck:
-    """Expand both sides of the law on the given element and report the exact
-    defect; zero defect means the law holds on this input."""
+def law_defect(law: LawId, elem: Element, view: GradingView = None) -> Element:
+    """Both sides of the law expanded on the given element, subtracted: the
+    exact defect, zero when the law holds on this input."""
     if view is None:
         view = _LAW_DEFAULT_VIEW[law]
     space = _LAW_SPACE_CHECK.get(law)
@@ -474,5 +458,4 @@ def check_law(law: LawId, elem: Element, view: GradingView = None) -> LawCheck:
         for w in elem.terms:
             if not predicate(w):
                 raise SchemaError("law %s needs %s" % (law.value, what))
-    defect = _law_defect(law, elem, view)
-    return LawCheck(law, element_to_text(elem), defect)
+    return _law_defect(law, elem, view)

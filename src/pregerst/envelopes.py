@@ -13,14 +13,17 @@ through an EnvelopeContext:
   generator-level pair and symmetric spaces.
 * m_map / r_map / q_total - the lifts of D and of the shifted r2 to pair
   words over tensor words; q_total = m + R is the candidate codifferential.
-* check_coderivation - exact defect of the coderivation law, in the plain
-  form for degree-0 coproducts and in the signed form (cop o Q plus
-  (Q x id + id x Q) o cop) for the degree-one cocrochet.
+* coderivation_defect - exact defect of the coderivation law of m, R or Q,
+  in the plain form for degree-0 coproducts and in the signed form (cop o Q
+  plus (Q x id + id x Q) o cop) for the degree-one cocrochet.
+* r2_prelie_defect / r2_derivation_defect - exact defects of the pre-Lie
+  relation of r2 and of D deriving r2.
 
 Signs on the pair-word space are deg' signs; signs inside tensor words are
 deg signs.  The slot maps return Elements over atoms, so every operation is
-the multilinear extension of its atom-level formula.  Every checker reports
-its defect through one path, _report.
+the multilinear extension of its atom-level formula.  Every checker returns
+its defect as an Element; turning it into a verdict and text is left to the
+caller (suites.run_suite).
 
 Images.  r2_words and zinfinity_d_word keep each image they compute in the
 context's images dict and return a copy of it, so every map built on them
@@ -54,7 +57,6 @@ from .words import (
     Tensor,
     canonical_term,
     degree,
-    element_to_text,
     is_pair_over_gens,
     is_pair_over_tensors,
     is_sym_of,
@@ -89,18 +91,6 @@ class EnvelopeContext:
             raise UnsupportedModelError(
                 "this construction needs a model with wedge and diamond"
             )
-
-
-@dataclass
-class Coderivation:
-    """A named linear map on a declared space with a declared degree."""
-
-    label: str
-    fn: object  # Element -> Element
-    degree: int
-
-    def __call__(self, elem: Element) -> Element:
-        return self.fn(elem)
 
 
 def _splice(out: Element, prefix, atoms: Element, suffix, coeff):
@@ -140,7 +130,7 @@ def _zinfinity_d_word(ctx: EnvelopeContext, word: Tensor) -> Element:
     factors = word.factors
     n = len(factors)
     degs = [degree(f, SHIFT1) for f in factors]
-    out = Element.zero()
+    out = Element()
     # differential at every slot
     if model.has_differential:
         for k in range(n):
@@ -191,7 +181,7 @@ def _r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     p, q = len(xs), len(ys)
     xdeg = [degree(f, SHIFT1) for f in xs]
     ydeg0 = degree(ys[0], SHIFT1)
-    out = Element.zero()
+    out = Element()
     # head part: (x_1 <> y_1) against shuffles of the two tails
     pref = -1 if (sum(xdeg[1:]) & 1 and ydeg0 & 1) else 1
     head = model.diamond_atoms(xs[0].gen, ys[0].gen)
@@ -262,7 +252,7 @@ def prelie_envelope_q(ctx: EnvelopeContext, elem: Element) -> Element:
     ctx.require_algebra()
     require(elem, is_pair_over_gens, "pair words over generators")
     model = ctx.model
-    out = Element.zero()
+    out = Element()
     for word, coeff in elem.items():
         word, coeff = canonical_term(word, coeff, word.tail.factors, SHIFT2)
         if word is None:
@@ -322,7 +312,7 @@ def l_infinity_q(ctx: EnvelopeContext, elem: Element) -> Element:
     require(elem, lambda w: is_sym_of(w, lambda f: type(f) is Gen),
             "symmetric words over generators")
     model = ctx.model
-    out = Element.zero()
+    out = Element()
     for word, coeff in elem.items():
         word, coeff = canonical_term(word, coeff, word.factors, SHIFT2)
         if word is None:
@@ -360,7 +350,7 @@ def m_map(ctx: EnvelopeContext, elem: Element) -> Element:
     """Lift of D: D at the head, plus head-signed D at every tail factor."""
     ctx.require_algebra()
     require(elem, is_pair_over_tensors, "pair words over tensor words")
-    out = Element.zero()
+    out = Element()
     for word, coeff in elem.items():
         word, coeff = canonical_term(word, coeff, word.tail.factors, SHIFT2)
         if word is None:
@@ -388,7 +378,7 @@ def r_map(ctx: EnvelopeContext, elem: Element) -> Element:
     symmetrised l2 on pairs of tail factors."""
     ctx.require_algebra()
     require(elem, is_pair_over_tensors, "pair words over tensor words")
-    out = Element.zero()
+    out = Element()
     for word, coeff in elem.items():
         word, coeff = canonical_term(word, coeff, word.tail.factors, SHIFT2)
         if word is None:
@@ -422,38 +412,14 @@ def q_total(ctx: EnvelopeContext, elem: Element) -> Element:
     return m_map(ctx, elem) + r_map(ctx, elem)
 
 
-def coderivation_m(ctx: EnvelopeContext) -> Coderivation:
-    return Coderivation("m", lambda e: m_map(ctx, e), 1)
-
-
-def coderivation_r(ctx: EnvelopeContext) -> Coderivation:
-    return Coderivation("R", lambda e: r_map(ctx, e), 1)
-
-
-def coderivation_q(ctx: EnvelopeContext) -> Coderivation:
-    return Coderivation("Q", lambda e: q_total(ctx, e), 1)
-
-
 # ---------------------------------------------------------------------------
 # exact checkers
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DefectReport:
-    label: str
-    input_text: str
-    defect_text: str
-    ok: bool
-
-
-def _report(label, input_text, defect: Element) -> DefectReport:
-    ok = defect.is_zero()
-    return DefectReport(label, input_text, "zero" if ok else element_to_text(defect), ok)
-
-
-def check_coderivation(coproduct, cop_degree: int, q: Coderivation,
-                       elem: Element, view=SHIFT2) -> DefectReport:
-    """Defect of the coderivation law of q for the given coproduct.
+def coderivation_defect(ctx: EnvelopeContext, q, coproduct, cop_degree: int,
+                        elem: Element) -> Element:
+    """Defect of the coderivation law of the degree-one map q(ctx, -), one
+    of m_map, r_map and q_total, for the given coproduct on pair words.
 
     Degree-0 coproducts use cop(Q e) - (Q x id + id x Q)(cop e); a degree-one
     coproduct is checked in the signed form cop(Q e) + (Q x id + id x Q)(cop e),
@@ -462,21 +428,18 @@ def check_coderivation(coproduct, cop_degree: int, q: Coderivation,
     (id x Q) leg always carries the Koszul sign of moving a degree-one map
     past the first leg.
     """
-    q_word = lambda w: q.fn(Element.single(w))
+    q_word = lambda w: q(ctx, Element.single(w))
     ce = coproduct(elem)
-    t1 = ce.map_leg(0, q_word, q.degree, view)
-    t2 = ce.map_leg(1, q_word, q.degree, view)
-    lhs = coproduct(q.fn(elem))
+    t1 = ce.map_leg(0, q_word, 1, SHIFT2)
+    t2 = ce.map_leg(1, q_word, 1, SHIFT2)
+    lhs = coproduct(q(ctx, elem))
     if cop_degree & 1:
-        defect = lhs + t1 + t2
-    else:
-        defect = lhs - t1 - t2
-    label = "coderivation[%s]" % q.label
-    return _report(label, element_to_text(elem), defect)
+        return lhs + t1 + t2
+    return lhs - t1 - t2
 
 
-def check_r2_prelie(ctx: EnvelopeContext, x: Element, y: Element,
-                    z: Element) -> DefectReport:
+def r2_prelie_defect(ctx: EnvelopeContext, x: Element, y: Element,
+                     z: Element) -> Element:
     """Pre-Lie relation for r2: the associator is deg-symmetric in the last
     two arguments.  A zero argument gives the zero defect."""
     dy = y.homogeneous_degree(SHIFT1)
@@ -487,12 +450,10 @@ def check_r2_prelie(ctx: EnvelopeContext, x: Element, y: Element,
     sign = -1 if (dy or 0) & (dz or 0) & 1 else 1
     lhs = r2(ctx, r2(ctx, x, y), z) - r2(ctx, x, r2(ctx, y, z))
     rhs = r2(ctx, r2(ctx, x, z), y) - r2(ctx, x, r2(ctx, z, y))
-    defect = lhs - rhs.scaled(sign)
-    text = "; ".join(element_to_text(e) for e in (x, y, z))
-    return _report("r2-prelie", text, defect)
+    return lhs - rhs.scaled(sign)
 
 
-def check_r2_derivation(ctx: EnvelopeContext, x: Element, y: Element) -> DefectReport:
+def r2_derivation_defect(ctx: EnvelopeContext, x: Element, y: Element) -> Element:
     """D is a derivation of r2: D r2(x,y) = r2(Dx, y) + (-1)^{deg x} r2(x, Dy).
     A zero argument gives the zero defect."""
     dx = x.homogeneous_degree(SHIFT1)
@@ -501,6 +462,4 @@ def check_r2_derivation(ctx: EnvelopeContext, x: Element, y: Element) -> DefectR
     d = lambda e: zinfinity_d(ctx, e)
     # with x zero every term vanishes whatever the sign
     sign = -1 if (dx or 0) & 1 else 1
-    defect = d(r2(ctx, x, y)) - r2(ctx, d(x), y) - r2(ctx, x, d(y)).scaled(sign)
-    text = "; ".join(element_to_text(e) for e in (x, y))
-    return _report("r2-derivation", text, defect)
+    return d(r2(ctx, x, y)) - r2(ctx, d(x), y) - r2(ctx, x, d(y)).scaled(sign)

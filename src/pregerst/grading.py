@@ -198,13 +198,3 @@ def shuffles_k1m(k: int, m: int):
             tail = tuple(v for v in rest if v != mid)
             out.append(Permutation(first_block + (mid,) + tail))
     return out
-
-
-def decalage_sign(degrees) -> int:
-    """(-1)^{sum over i of (n - i) * degrees[i]}, i counted from 1.
-
-    The sign relating an n-linear map on V to its shifted companion on V[1].
-    """
-    n = len(degrees)
-    exponent = sum((n - i) * d for i, d in enumerate(degrees, start=1))
-    return -1 if exponent & 1 else 1

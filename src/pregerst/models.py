@@ -19,19 +19,18 @@ admission check, see admit_differential), so conforming runs use d = 0.
 FormalModel: named abstract generators; any operation beyond degree
 bookkeeping is rejected.  It serves the model-independent coalgebra laws.
 
-check_axiom evaluates one algebra axiom on a pair or triple of homogeneous
+axiom_defect evaluates one algebra axiom on a pair or triple of homogeneous
 elements and returns the exact defect.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import SchemaError, UnsupportedModelError
 from .grading import BASE, Generator, GeneratorRegistry
-from .words import Element, element_to_text
+from .words import Element
 
 
 def _element(a) -> Element:
@@ -379,22 +378,6 @@ def axiom_defect(model: AlgebraModel, axiom: AxiomId, args) -> Element:
         x, y = args
         return dd(dm(x, y)) - dm(dd(x), y) - dm(x, dd(y)).scaled(_sign(degs[0]))
     raise ValueError("unknown axiom %r" % axiom)
-
-
-@dataclass
-class AxiomCheck:
-    axiom: AxiomId
-    input_text: str
-    defect: Element
-
-    @property
-    def ok(self) -> bool:
-        return self.defect.is_zero()
-
-
-def check_axiom(model: AlgebraModel, axiom: AxiomId, args) -> AxiomCheck:
-    text = "; ".join(element_to_text(_element(a)) for a in args)
-    return AxiomCheck(axiom, text, axiom_defect(model, axiom, args))
 
 
 def admit_differential(model: AlgebraModel, rng, samples: int = 25,

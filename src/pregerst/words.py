@@ -342,10 +342,6 @@ class Element:
                               % sorted(map(repr, kinds)))
 
     @staticmethod
-    def zero() -> "Element":
-        return Element()
-
-    @staticmethod
     def single(key, coeff=1) -> "Element":
         out = Element()
         coeff = _exact(coeff)
@@ -536,16 +532,6 @@ def _placer(perm: Permutation):
     if len(perm) == 1:
         return tuple
     return itemgetter(*[i - 1 for i in perm.inverse().images])
-
-
-def signed_permute(word: Tensor, perm: Permutation, view: GradingView) -> Element:
-    """Signed place permutation: slot i moves to slot perm(i)."""
-    factors = word.factors
-    if len(perm) != len(factors):
-        raise ValueError("permutation size %d does not match word length %d" % (len(perm), len(factors)))
-    degs = [degree(f, view) for f in factors]
-    sign = koszul_sign(degs, perm)
-    return Element.single(Tensor(_placer(perm)(factors)), sign)
 
 
 def _odd_mask(factors, view: GradingView) -> int:

@@ -12,8 +12,7 @@ from pregerst import envelopes, words
 from pregerst.cooperations import delta_perm
 from pregerst.envelopes import (
     EnvelopeContext,
-    check_coderivation,
-    coderivation_q,
+    coderivation_defect,
     q_total,
     r2,
     r2_words,
@@ -83,7 +82,7 @@ def test_each_body_runs_once_per_distinct_argument_per_context(monkeypatch):
             continue
         ctx = EnvelopeContext(model)
         contexts.append(ctx)
-        assert check_coderivation(cop, 0, coderivation_q(ctx), elem).ok
+        assert coderivation_defect(ctx, q_total, cop, 0, elem).is_zero()
         assert q_total(ctx, q_total(ctx, elem)).is_zero()
     assert set(r2_calls.values()) == {1} and set(d_calls.values()) == {1}
     assert len(r2_calls) + len(d_calls) == sum(len(c.images) for c in contexts)

@@ -9,7 +9,6 @@ from pregerst.grading import (
     Generator,
     GeneratorRegistry,
     Permutation,
-    decalage_sign,
     koszul_sign,
     rearrangement_sign,
     shuffles,
@@ -180,17 +179,6 @@ def test_shuffles_k1m_counts():
                 imgs = perm.images
                 assert all(imgs[i] < imgs[i + 1] for i in range(k - 1))
                 assert all(imgs[k + 1 + i] < imgs[k + 1 + i + 1] for i in range(m - 1))
-
-
-def test_decalage_sign():
-    assert decalage_sign([7]) == 1
-    assert decalage_sign([1, 1]) == -1
-    assert decalage_sign([0, 0, 0, 0]) == 1
-    assert decalage_sign([2, 4, 6]) == 1
-    # exponent sum (n-i) d_i computed directly
-    degs = [1, 2, 3, 1]
-    exp = sum((len(degs) - i) * d for i, d in enumerate(degs, start=1))
-    assert decalage_sign(degs) == (-1) ** exp
 
 
 def test_registry_uniqueness():

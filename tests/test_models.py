@@ -1,5 +1,6 @@
 """The differential-forms model and the algebra axiom suites."""
 
+import ast
 import random
 import warnings
 from fractions import Fraction
@@ -16,7 +17,6 @@ from pregerst.models import (
     FormsModel,
     admit_differential,
     axiom_defect,
-    check_axiom,
 )
 from pregerst.mutations import mutant
 from pregerst.words import element_to_text
@@ -83,9 +83,9 @@ def test_forms_axiom_battery():
         for trial in range(75):
             args = [model.sample_form(rng) for _ in range(3)]
             for axiom in ALGEBRA_AXIOMS:
-                chk = check_axiom(model, axiom, args)
-                assert chk.ok, "%s failed on %s: %s" % (
-                    axiom, chk.input_text, element_to_text(chk.defect))
+                defect = axiom_defect(model, axiom, args)
+                assert defect.is_zero(), "%s failed on %s: %s" % (
+                    axiom, "; ".join(map(element_to_text, args)), element_to_text(defect))
 
 
 def test_aguiar_follows_from_compat():
@@ -211,6 +211,57 @@ def test_module_compiles_with_warnings_as_errors(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(), str(path), "exec")
+
+
+def _bound_names(tree, skip_imports):
+    """Names bound at the top level of a module: each import unless skipped,
+    and each private ``_name`` defined or assigned there."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if skip_imports or getattr(node, "module", None) == "__future__":
+                continue
+            out += [(a.asname or a.name).split(".")[0] for a in node.names]
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        out += [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return out
+
+
+def _reads(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+            and not isinstance(n.ctx, ast.Store)}
+
+
+def _imported_from(module, trees):
+    """Names other package modules import from the module or read as an
+    attribute of anything."""
+    out = set()
+    for other, tree in trees.items():
+        if other == module:
+            continue
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == module:
+                out.update(a.name for a in n.names)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+    return out
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_module_leaves_no_orphan_import_or_private_name(path):
+    # the imports of __init__ are the package's public API
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE_MODULES}
+    tree = trees[path.stem]
+    used = _reads(tree) | _imported_from(path.stem, trees)
+    orphans = [n for n in _bound_names(tree, path.stem == "__init__") if n not in used]
+    assert not orphans, "%s binds names nothing reads: %s" % (path.name, orphans)
 
 
 def test_foreign_atoms_are_rejected_cleanly(m2):

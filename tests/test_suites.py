@@ -143,3 +143,42 @@ def test_an_instance_that_raises_is_recorded_and_the_run_goes_on(monkeypatch):
     assert rep.records[1].defect_text == "error: ValueError: bad instance"
     assert len(rep.records) == 6 and rep.exit_code() == 2
     assert get_term_cap() == 10**6
+
+
+def _with_thunk(monkeypatch, suite, index, thunk):
+    """Run suite at its defaults with instance index's thunk replaced."""
+    from pregerst import suites
+
+    spec = suites.SUITE_SPECS[suite]
+    build = spec.builder
+
+    def patched(config):
+        instances = build(config)
+        instances[index].thunk = thunk
+        return instances
+
+    monkeypatch.setattr(spec, "builder", patched)
+    return run_suite(SuiteConfig(suite))
+
+
+def test_an_undetected_mutant_fails_the_run(monkeypatch):
+    from pregerst.words import Element
+
+    rep = _with_thunk(monkeypatch, "mutation-sanity", 2, Element)
+    record = rep.records[2]
+    assert (record.status, record.defect_text) == ("fail", "zero (mutation undetected)")
+    assert rep.failed == 1 and rep.exit_code() == 1
+    assert all(r.status == "pass" for r in rep.records if r is not record)
+
+
+def test_a_nonzero_defect_fails_with_its_exact_text(monkeypatch):
+    from pregerst.grading import GeneratorRegistry
+    from pregerst.words import Element, Gen, Tensor, element_to_text
+
+    reg = GeneratorRegistry()
+    a, b = Gen(reg.declare("a", 2)), Gen(reg.declare("b", 3))
+    defect = Element({Tensor((a, b)): 2, Tensor((b,)): -1})
+    rep = _with_thunk(monkeypatch, "linf-square", 0, lambda: defect)
+    assert rep.records[0].status == "fail"
+    assert rep.records[0].defect_text == element_to_text(defect) == "2/1 * T(a,b) + -1/1 * T(b)"
+    assert rep.failed == 1 and rep.exit_code() == 1

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pregerst.errors import ParseError, SchemaError, TermBudgetExceeded
-from pregerst.grading import SHIFT1, SHIFT2, GeneratorRegistry, Permutation
+from pregerst.grading import SHIFT1, SHIFT2, GeneratorRegistry
 from pregerst.words import (
     Element,
     Gen,
@@ -23,7 +23,6 @@ from pregerst.words import (
     parse_element,
     set_term_cap,
     shuffle_product,
-    signed_permute,
     sym_product,
     sym_word,
     word_to_text,
@@ -103,20 +102,6 @@ def test_normalize_rejects_mixed_schemas(reg):
     e.add_term(Sym((Tensor((b,)),)), 1)
     with pytest.raises(SchemaError):
         normalize(e, SHIFT1)
-
-
-def test_signed_permute(reg):
-    a, b = gens(reg, [("a", 2), ("b", 2)])  # deg 1 each
-    w = Tensor((a, b))
-    assert signed_permute(w, Permutation.identity(2), SHIFT1) == Element.single(w)
-    swapped = signed_permute(w, Permutation((2, 1)), SHIFT1)
-    assert element_to_text(swapped) == "-1/1 * T(b,a)"
-    # all even degrees permute with a plus
-    c, d = gens(reg, [("c", 1), ("d", 3)])  # deg 0 and 2
-    w2 = Tensor((c, d))
-    assert element_to_text(signed_permute(w2, Permutation((2, 1)), SHIFT1)) == "1/1 * T(d,c)"
-    with pytest.raises(ValueError):
-        signed_permute(w, Permutation.identity(3), SHIFT1)
 
 
 def test_shuffle_product_examples(reg):

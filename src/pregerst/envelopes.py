@@ -1,29 +1,35 @@
 """Enveloping codifferentials and the pre-Lie extension of the diamond.
 
 Everything here is driven by a concrete model (wedge, diamond, optional d)
-through an EnvelopeContext:
+through an EnvelopeContext.
 
-* zinfinity_d   - the codifferential D on tensor words built from the Zinbiel
-  wedge: differential at every slot, the binary part at the head, and the
-  binary part composed with mu_2 at interior adjacent slots, with prefix
-  signs (-1)^{deg of everything to the left}.
-* r2            - the extension of the diamond to tensor words: head-diamond
-  against shuffled tails plus bracket insertions at every left slot.
-* prelie_envelope_q / l_infinity_q - the enveloping codifferentials on the
-  generator-level pair and symmetric spaces.
-* m_map / r_map / q_total - the lifts of D and of the shifted r2 to pair
-  words over tensor words; q_total = m + R is the candidate codifferential.
-* coderivation_defect - exact defect of the coderivation law of m, R or Q,
-  in the plain form for degree-0 coproducts and in the signed form (cop o Q
-  plus (Q x id + id x Q) o cop) for the degree-one cocrochet.
-* r2_prelie_defect / r2_derivation_defect - exact defects of the pre-Lie
-  relation of r2 and of D deriving r2.
+One lift.  A coderivation of a cofree coalgebra is fixed by its
+corestriction, one map on a single factor and one on two (Loday-Vallette,
+Algebraic Operads, 6.3).  _lift(ctx, elem, unary, binary) builds it on pair
+words (head; tail) and on symmetric words (tail only), with deg' signs:
+(1) unary at the head; (2) unary at each tail factor, moved to the front,
+signed by the head, sorted back in; (3) binary(head, t_j) as the new head;
+(4) binary(t_i, t_j) + (-1)^{deg' t_i deg' t_j} binary(t_j, t_i) over
+i < j, signed by the head, sorted into the rest of the tail.  m_map is the
+lift of D, r_map of r2_shifted, q_total = m + R of both in one pass, and
+prelie_envelope_q and l_infinity_q (pair and symmetric words over atoms)
+of d and the shifted diamond (-1)^{deg' a} a<>b, whose symmetrisation is
+(-1)^{deg' a} [a, b].
+
+The slot maps on tensor words are zinfinity_d, the codifferential D built
+from the Zinbiel wedge (differential at every slot, the binary part at the
+head and, through mu_2, at interior adjacent slots, with prefix signs
+(-1)^{deg of everything to the left}), and r2, the extension of the diamond
+(at slot k, x_1<>y_1 for k = 1 or [x_k, y_1] after it, against the shuffles
+of x[k:] with y[1:]).  The checkers: coderivation_defect (m, R or Q, plain
+for degree-0 coproducts, signed, cop o Q + (Q x id + id x Q) o cop, for the
+degree-one cocrochet), r2_prelie_defect and r2_derivation_defect.
 
 Signs on the pair-word space are deg' signs; signs inside tensor words are
-deg signs.  The slot maps return Elements over atoms, so every operation is
-the multilinear extension of its atom-level formula.  Every checker returns
-its defect as an Element; turning it into a verdict and text is left to the
-caller (suites.run_suite).
+deg signs.  The model's operations return Elements over atoms, so every
+operation is the multilinear extension of its atom-level formula.  Every
+checker returns its defect as an Element; turning it into a verdict and
+text is left to the caller (suites.run_suite).
 
 Images.  r2_words and zinfinity_d_word keep each image they compute in the
 context's images dict and return a copy of it, so every map built on them
@@ -33,12 +39,11 @@ cap abort stores nothing.  The suites build one context per instance, so no
 image outlives its instance; EnvelopeContext.cache_clear(), which mutant
 calls on entry and exit, empties the images of every live context.
 
-Canonical tails.  m_map, r_map, prelie_envelope_q and l_infinity_q check
-once per input word that its symmetric factors are in canonical order and
-normalize it if not.  A sub-tail of a canonical tail is then a Sym as it
-stands, with sign 1, and one new factor joins a sub-tail through sym_insert;
-a factor replaced in its slot is first moved to the front, with its Koszul
-sign.
+Canonical tails.  _lift checks once per input word that its symmetric
+factors are in canonical order and normalizes it if not.  A sub-tail of a
+canonical tail is then a Sym as it stands, with sign 1, and one new factor
+joins a sub-tail through sym_insert; a factor replaced in its slot is first
+moved to the front, with its Koszul sign.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import weakref
 from dataclasses import dataclass, field
 
 from .errors import SchemaError, UnsupportedModelError
-from .grading import SHIFT1, SHIFT2, rearrangement_sign
+from .grading import SHIFT1, SHIFT2
 from .models import AlgebraModel, FormalModel
 from .words import (
     Element,
@@ -175,43 +180,34 @@ def r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     return _image(ctx, (x, y), _r2_words, x, y)
 
 
+def _shuffled(left, right):
+    """(factors, sign) for each signed shuffle of two factor tuples in the
+    deg view; two empty tuples give the one empty tuple."""
+    if not (left or right):
+        return (((), 1),)
+    return [(w.factors, s) for w, s in shuffle_factors(left, right, SHIFT1).items()]
+
+
 def _r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
-    model = ctx.model
     xs, ys = x.factors, y.factors
-    p, q = len(xs), len(ys)
     xdeg = [degree(f, SHIFT1) for f in xs]
-    ydeg0 = degree(ys[0], SHIFT1)
+    y1 = ys[0]
+    y1_odd = degree(y1, SHIFT1) & 1
     out = Element()
-    # head part: (x_1 <> y_1) against shuffles of the two tails
-    pref = -1 if (sum(xdeg[1:]) & 1 and ydeg0 & 1) else 1
-    head = model.diamond_atoms(xs[0].gen, ys[0].gen)
-    if not head.is_zero():
-        if p + q == 2:
-            for g, c in head.items():
-                out.add_term(Tensor((Gen(g),)), pref * c)
+    # slot k: x_1 <> y_1 at k = 1 and [x_k, y_1] after it, each against the
+    # shuffles of x[k:] with y[1:]
+    for k in range(1, len(xs) + 1):
+        if k == 1:
+            atoms = ctx.model.diamond_atoms(xs[0].gen, y1.gen)
         else:
-            tails = shuffle_factors(xs[1:], ys[1:], SHIFT1)
-            for tail_word, ts in tails.items():
-                for g, c in head.items():
-                    out.add_term(Tensor((Gen(g),) + tail_word.factors),
-                                 pref * ts * c)
-    # bracket part: [x_k, y_1] inserted at slot k, 2 <= k <= p
-    for k in range(2, p + 1):
-        pref = -1 if (sum(xdeg[k:]) & 1 and ydeg0 & 1) else 1
-        br = _bracket_atoms(ctx, xs[k - 1], ys[0])
-        if br.is_zero():
+            atoms = _bracket_atoms(ctx, xs[k - 1], y1)
+        if atoms.is_zero():
             continue
+        pref = -1 if (y1_odd and sum(xdeg[k:]) & 1) else 1
         prefix = xs[:k - 1]
-        rest_left = xs[k:]
-        if rest_left or len(ys) > 1:
-            tails = shuffle_factors(rest_left, ys[1:], SHIFT1)
-            for tail_word, ts in tails.items():
-                for g, c in br.items():
-                    out.add_term(Tensor(prefix + (Gen(g),) + tail_word.factors),
-                                 pref * ts * c)
-        else:
-            for g, c in br.items():
-                out.add_term(Tensor(prefix + (Gen(g),)), pref * c)
+        for tail, ts in _shuffled(xs[k:], ys[1:]):
+            for g, c in atoms.items():
+                out.add_term(Tensor(prefix + (Gen(g),) + tail), pref * ts * c)
     return out
 
 
@@ -235,111 +231,110 @@ def r2_shifted(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     return res
 
 
-def l2(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
-    """Symmetrised shifted extension; graded symmetric in deg'."""
-    first = r2_shifted(ctx, x, y)
-    second = r2_shifted(ctx, y, x)
-    sign = -1 if (degree(x, SHIFT2) & 1 and degree(y, SHIFT2) & 1) else 1
-    return first + second.scaled(sign)
+# ---------------------------------------------------------------------------
+# the one lift: a coderivation from its slot maps
+# ---------------------------------------------------------------------------
+
+def _lift(ctx: EnvelopeContext, elem: Element, unary, binary) -> Element:
+    """The coderivation whose corestriction is unary(ctx, w) on one factor
+    and binary(ctx, a, b) on two, on pair words (head; tail) or symmetric
+    words (tail only), with deg' signs; either map may be None.  Its four
+    kinds of term are listed in the module docstring."""
+    out = Element()
+    add = out.add_term
+    for word, coeff in elem.items():
+        is_pair = type(word) is Pair
+        factors = word.tail.factors if is_pair else word.factors
+        word, coeff = canonical_term(word, coeff, factors, SHIFT2)
+        if word is None:
+            continue
+        head, tail = (word.head, word.tail) if is_pair else (None, word)
+        factors = tail.factors
+        n = len(factors)
+        tdegs = [degree(f, SHIFT2) for f in factors]
+        head_sign = -1 if is_pair and degree(head, SHIFT2) & 1 else 1
+        # eps[j]: the sign of moving tail factor j to the front
+        eps = []
+        odd = 0
+        for t in tdegs:
+            eps.append(-1 if t & odd & 1 else 1)
+            odd ^= t & 1
+        if unary is not None:
+            # 1. unary at the head
+            if is_pair:
+                for w, c in unary(ctx, head).items():
+                    add(Pair(w, tail), coeff * c)
+            # 2. unary at each tail factor, moved to the front, then sorted in
+            for j in range(n):
+                rest = factors[:j] + factors[j + 1:]
+                tail_coeff = coeff * head_sign * eps[j]
+                for w, c in unary(ctx, factors[j]).items():
+                    s, sw = sym_insert(w, rest, SHIFT2, True)
+                    if sw is not None:
+                        add(Pair(head, sw) if is_pair else sw, tail_coeff * c * s)
+        if binary is None:
+            continue
+        # 3. binary(head, tail factor) as the new head; a sub-tail of a
+        # canonical tail is canonical
+        if is_pair:
+            for j in range(n):
+                rest_sym = Sym(factors[:j] + factors[j + 1:])
+                for w, c in binary(ctx, head, factors[j]).items():
+                    add(Pair(w, rest_sym), coeff * eps[j] * c)
+        # 4. binary graded-symmetrised on two tail factors, then sorted in
+        for i in range(n):
+            for j in range(i + 1, n):
+                swap = -1 if tdegs[i] & tdegs[j] & 1 else 1
+                # t_i to the front, then t_j past everything before it but t_i
+                pair_coeff = coeff * head_sign * eps[i] * eps[j] * swap
+                image = (binary(ctx, factors[i], factors[j])
+                         + binary(ctx, factors[j], factors[i]).scaled(swap))
+                rest = factors[:i] + factors[i + 1:j] + factors[j + 1:]
+                for w, c in image.items():
+                    s, sw = sym_insert(w, rest, SHIFT2, True)
+                    if sw is not None:
+                        add(Pair(head, sw) if is_pair else sw, pair_coeff * c * s)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # generator-level envelopes (pair and symmetric words over atoms)
 # ---------------------------------------------------------------------------
 
+def _atom_words(atoms: Element) -> Element:
+    """An element over model atoms as the element over their atom words."""
+    out = Element()
+    out.terms = {Gen(g): c for g, c in atoms.items()}
+    return out
+
+
+def _d_atom(ctx: EnvelopeContext, a: Gen) -> Element:
+    """d on an atom word; zero when the model has no differential."""
+    return _atom_words(ctx.model.differential_atom(a.gen))
+
+
+def _diamond_shifted(ctx: EnvelopeContext, a: Gen, b: Gen) -> Element:
+    """(-1)^{deg' a} a<>b on atom words."""
+    product = _atom_words(ctx.model.diamond_atoms(a.gen, b.gen))
+    return -product if degree(a, SHIFT2) & 1 else product
+
+
 def prelie_envelope_q(ctx: EnvelopeContext, elem: Element) -> Element:
-    """Enveloping codifferential on head-atom pair words; deg' signs."""
+    """Enveloping codifferential on head-atom pair words: the lift of d and
+    of the shifted diamond."""
     ctx.require_algebra()
     require(elem, is_pair_over_gens, "pair words over generators")
-    model = ctx.model
-    out = Element()
-    for word, coeff in elem.items():
-        word, coeff = canonical_term(word, coeff, word.tail.factors, SHIFT2)
-        if word is None:
-            continue
-        head = word.head
-        tail = word.tail.factors
-        n = len(tail)
-        hdeg = degree(head, SHIFT2)
-        tdegs = [degree(f, SHIFT2) for f in tail]
-        # d at the head
-        if model.has_differential:
-            for g, c in model.differential_atom(head.gen).items():
-                out.add_term(Pair(Gen(g), word.tail), coeff * c)
-            head_sign = -1 if hdeg & 1 else 1
-            for k in range(n):
-                pref = -1 if sum(tdegs[:k]) & 1 else 1
-                rest = tail[:k] + tail[k + 1:]
-                for g, c in model.differential_atom(tail[k].gen).items():
-                    # d tail_k moves from slot k to the front, then sorts in
-                    dk = Gen(g)
-                    lead = -1 if (dk.degrees[SHIFT2] & 1 and sum(tdegs[:k]) & 1) else 1
-                    s, sw = sym_insert(dk, rest, SHIFT2, True)
-                    if sw is not None:
-                        out.add_term(Pair(head, sw),
-                                     coeff * head_sign * pref * c * lead * s)
-        # head paired with one tail factor
-        for j in range(n):
-            eps = -1 if (tdegs[j] & 1 and sum(tdegs[:j]) & 1) else 1
-            q2 = model.diamond_atoms(head.gen, tail[j].gen)
-            sgn = -1 if hdeg & 1 else 1
-            # a sub-tail of a canonical tail is canonical
-            rest_sym = Sym(tail[:j] + tail[j + 1:])
-            for g, c in q2.items():
-                out.add_term(Pair(Gen(g), rest_sym), coeff * eps * sgn * c)
-        # two tail factors paired, head untouched
-        head_sign = -1 if hdeg & 1 else 1
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                rest_idx = [i for i in range(n) if i != a and i != b]
-                eps = rearrangement_sign(tdegs, [a, b] + rest_idx)
-                q2 = model.diamond_atoms(tail[a].gen, tail[b].gen)
-                sgn = -1 if tdegs[a] & 1 else 1
-                rest = tuple(tail[i] for i in rest_idx)
-                for g, c in q2.items():
-                    s, sw = sym_insert(Gen(g), rest, SHIFT2, True)
-                    if sw is not None:
-                        out.add_term(Pair(head, sw), coeff * head_sign * eps * sgn * c * s)
-    return out
+    return _lift(ctx, elem, _d_atom, _diamond_shifted)
 
 
 def l_infinity_q(ctx: EnvelopeContext, elem: Element) -> Element:
     """Enveloping codifferential on symmetric atom words for the bracket
-    antisymmetrised from the diamond; deg' signs."""
+    antisymmetrised from the diamond: the lift of d and of the shifted
+    diamond, whose symmetrisation is (-1)^{deg' a} [a, b]."""
     ctx.require_algebra()
     require(elem, lambda w: is_sym_of(w, lambda f: type(f) is Gen),
             "symmetric words over generators")
-    model = ctx.model
-    out = Element()
-    for word, coeff in elem.items():
-        word, coeff = canonical_term(word, coeff, word.factors, SHIFT2)
-        if word is None:
-            continue
-        factors = word.factors
-        n = len(factors)
-        degs = [degree(f, SHIFT2) for f in factors]
-        if model.has_differential:
-            for i in range(n):
-                eps = -1 if (degs[i] & 1 and sum(degs[:i]) & 1) else 1
-                rest = factors[:i] + factors[i + 1:]
-                for g, c in model.differential_atom(factors[i].gen).items():
-                    s, sw = sym_insert(Gen(g), rest, SHIFT2, True)
-                    if sw is not None:
-                        out.add_term(sw, coeff * eps * c * s)
-        for i in range(n):
-            for j in range(i + 1, n):
-                rest_idx = [k for k in range(n) if k != i and k != j]
-                eps = rearrangement_sign(degs, [i, j] + rest_idx)
-                br = _bracket_atoms(ctx, factors[i], factors[j])
-                sgn = -1 if degs[i] & 1 else 1
-                rest = tuple(factors[k] for k in rest_idx)
-                for g, c in br.items():
-                    s, sw = sym_insert(Gen(g), rest, SHIFT2, True)
-                    if sw is not None:
-                        out.add_term(sw, coeff * eps * sgn * c * s)
-    return out
+    return _lift(ctx, elem, _d_atom, _diamond_shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -350,66 +345,23 @@ def m_map(ctx: EnvelopeContext, elem: Element) -> Element:
     """Lift of D: D at the head, plus head-signed D at every tail factor."""
     ctx.require_algebra()
     require(elem, is_pair_over_tensors, "pair words over tensor words")
-    out = Element()
-    for word, coeff in elem.items():
-        word, coeff = canonical_term(word, coeff, word.tail.factors, SHIFT2)
-        if word is None:
-            continue
-        head = word.head
-        tail = word.tail.factors
-        x0p = degree(head, SHIFT2)
-        for w, c in zinfinity_d_word(ctx, head).items():
-            out.add_term(Pair(w, word.tail), coeff * c)
-        if tail:
-            pref = -1 if x0p & 1 else 1
-            tdegs = [degree(f, SHIFT2) for f in tail]
-            for j in range(len(tail)):
-                eps = -1 if (tdegs[j] & 1 and sum(tdegs[:j]) & 1) else 1
-                rest = tail[:j] + tail[j + 1:]
-                for w, c in zinfinity_d_word(ctx, tail[j]).items():
-                    s, sw = sym_insert(w, rest, SHIFT2, True)
-                    if sw is not None:
-                        out.add_term(Pair(head, sw), coeff * pref * eps * c * s)
-    return out
+    return _lift(ctx, elem, zinfinity_d_word, None)
 
 
 def r_map(ctx: EnvelopeContext, elem: Element) -> Element:
-    """Lift of the shifted r2: head paired against each tail factor, plus the
-    symmetrised l2 on pairs of tail factors."""
+    """Lift of the shifted r2: head paired against each tail factor, plus
+    the symmetrised shifted r2 on pairs of tail factors."""
     ctx.require_algebra()
     require(elem, is_pair_over_tensors, "pair words over tensor words")
-    out = Element()
-    for word, coeff in elem.items():
-        word, coeff = canonical_term(word, coeff, word.tail.factors, SHIFT2)
-        if word is None:
-            continue
-        head = word.head
-        tail = word.tail.factors
-        n = len(tail)
-        x0p = degree(head, SHIFT2)
-        tdegs = [degree(f, SHIFT2) for f in tail]
-        for i in range(n):
-            eps = -1 if (tdegs[i] & 1 and sum(tdegs[:i]) & 1) else 1
-            # a sub-tail of a canonical tail is canonical
-            rest_sym = Sym(tail[:i] + tail[i + 1:])
-            for w, c in r2_shifted(ctx, head, tail[i]).items():
-                out.add_term(Pair(w, rest_sym), coeff * eps * c)
-        pref = -1 if x0p & 1 else 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                rest_idx = [k for k in range(n) if k != i and k != j]
-                eps = rearrangement_sign(tdegs, [i, j] + rest_idx)
-                rest = tuple(tail[k] for k in rest_idx)
-                for w, c in l2(ctx, tail[i], tail[j]).items():
-                    s, sw = sym_insert(w, rest, SHIFT2, True)
-                    if sw is not None:
-                        out.add_term(Pair(head, sw), coeff * pref * eps * c * s)
-    return out
+    return _lift(ctx, elem, None, r2_shifted)
 
 
 def q_total(ctx: EnvelopeContext, elem: Element) -> Element:
-    """Q = m + R, the candidate codifferential of both coproducts."""
-    return m_map(ctx, elem) + r_map(ctx, elem)
+    """Q = m + R, the candidate codifferential of both coproducts, in one
+    pass of the lift."""
+    ctx.require_algebra()
+    require(elem, is_pair_over_tensors, "pair words over tensor words")
+    return _lift(ctx, elem, zinfinity_d_word, r2_shifted)
 
 
 # ---------------------------------------------------------------------------

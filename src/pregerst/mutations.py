@@ -46,8 +46,10 @@ PATCHES = {
                               "mask = _odd_mask(factors, view)", "mask = 0"),
     # the bracket inside the pre-Lie extension uses + instead of -.
     "r2_bracket_plus": Patch("envelopes", "_bracket_atoms", "sign > 0", "sign < 0"),
-    # the tail part of the lifted differential m drops its head-degree prefix sign.
-    "m_tail_sign_drop": Patch("envelopes", "m_map", "pref = -1 if x0p & 1 else 1", "pref = 1"),
+    # the lift's unary part at a tail factor (the tail part of m) drops its
+    # head-degree sign.
+    "m_tail_sign_drop": Patch("envelopes", "_lift", "tail_coeff = coeff * head_sign * eps[j]",
+                              "tail_coeff = coeff * eps[j]"),
     # the Leibniz cocrochet on pair words drops the (-1)^{deg' of left cut} prefactor.
     "kappa_head_sign_drop": Patch("cooperations", "kappa",
                                   "cut_sign = -1 if up else 1", "cut_sign = 1"),
@@ -56,8 +58,9 @@ PATCHES = {
                                      "prefix = -1 if sum(parities[:s]) & 1 else 1", "prefix = 1"),
     # the Zinbiel envelope's binary part drops the (-1)^{deg} twist.
     "zinf_q2_sign_drop": Patch("envelopes", "_q2_wedge", "return -product", "return product"),
-    # the symmetrised pre-Lie extension uses a minus instead of a plus.
-    "l2_sym_sign_flip": Patch("envelopes", "l2", "scaled(sign)", "scaled(-sign)"),
+    # the lift's binary part on two tail factors (l2, the symmetrised shifted
+    # pre-Lie extension, in R) is antisymmetrised instead of symmetrised.
+    "l2_sym_sign_flip": Patch("envelopes", "_lift", "scaled(swap)", "scaled(-swap)"),
     # the differential-forms wedge loses its 1/degree scalar.
     "wedge_scale_drop": Patch("models", "FormsModel.wedge_atoms",
                               "scale = 1 if b.degree == 1 else Fraction(1, b.degree)", "scale = 1"),

@@ -449,23 +449,14 @@ class Element:
 
     def map_leg(self, leg: int, fn, fn_degree: int, view: GradingView) -> "Element":
         """Apply the linear map fn (Word -> Element) to one leg, with the
-        Koszul sign of carrying a map of the given degree past earlier legs.
-        fn runs once per distinct leg word in this call."""
-        out = Element()
-        add = out.add_term
-        images = {}      # leg word -> terms of its image, for this call only
-        for legs, c in self.terms.items():
-            _require_legs(legs, leg + 1)
-            if fn_degree & 1 and sum(degree(w, view) for w in legs[:leg]) & 1:
-                c = -c
-            before, after = legs[:leg], legs[leg + 1:]
-            w = legs[leg]
-            image = images.get(w)
-            if image is None:
-                image = images[w] = fn(w).terms
-            for w2, c2 in image.items():
-                add(before + (w2,) + after, c * c2)
-        return out
+        Koszul sign of carrying a map of the given degree past earlier legs:
+        cosplit_leg with one-leg images, so fn runs once per distinct leg
+        word in this call."""
+        def one_leg(w):
+            image = Element()
+            image.terms = {(w2,): c for w2, c in fn(w).terms.items()}
+            return image
+        return self.cosplit_leg(leg, one_leg, fn_degree, view)
 
     def cosplit_leg(self, leg: int, cop, cop_degree: int, view: GradingView) -> "Element":
         """Apply the coproduct cop (Word -> Element over pairs of words) to one
@@ -700,6 +691,9 @@ def embed_sym_into_pair(word: Sym, view: GradingView) -> Element:
 
 
 def embed_element(elem: Element, view: GradingView) -> Element:
+    """Linear extension of embed_sym_into_pair; a word that is not
+    symmetric is refused."""
+    require(elem, lambda w: type(w) is Sym, "symmetric words")
     return elem.map_words(lambda w: embed_sym_into_pair(w, view))
 
 
@@ -711,36 +705,26 @@ def normalize_word(word: Word, view: GradingView):
     """Recursively canonicalize one word; returns (sign, word or None)."""
     if type(word) is Gen:
         return 1, word
-    if type(word) is Tensor:
-        sign = 1
-        parts = []
-        for f in word.factors:
-            s, w = normalize_word(f, view)
-            if w is None:
-                return 0, None
-            sign *= s
-            parts.append(w)
-        return sign, Tensor(parts)
-    if type(word) is Sym:
-        sign = 1
-        parts = []
-        for f in word.factors:
-            s, w = normalize_word(f, view)
-            if w is None:
-                return 0, None
-            sign *= s
-            parts.append(w)
-        s, w = sym_word(parts, view)
+    if type(word) is Pair:
+        s1, head = normalize_word(word.head, view)
+        if head is None:
+            return 0, None
+        s2, tail = normalize_word(word.tail, view)
+        if tail is None:
+            return 0, None
+        return s1 * s2, Pair(head, tail)
+    sign = 1
+    parts = []
+    for f in word.factors:
+        s, w = normalize_word(f, view)
         if w is None:
             return 0, None
-        return sign * s, w
-    s1, head = normalize_word(word.head, view)
-    if head is None:
-        return 0, None
-    s2, tail = normalize_word(word.tail, view)
-    if tail is None:
-        return 0, None
-    return s1 * s2, Pair(head, tail)
+        sign *= s
+        parts.append(w)
+    if type(word) is Tensor:
+        return sign, Tensor(parts)
+    s, w = sym_word(parts, view)    # (0, None) when an odd factor repeats
+    return sign * s, w
 
 
 def normalize(raw: Element, view: GradingView) -> Element:

@@ -120,3 +120,12 @@ def test_verify_with_no_instances_exits_two(capsys):
         ["verify", "--suite", "mu-shuffle-lemma", "--max-tensor-len", "1"], capsys)
     assert code == 2
     assert "summary: 0 pass, 0 fail, 0 abort" in out
+
+
+@pytest.mark.parametrize("expr", ["1/1 * T(a,b)", "1/1 * P(a; S())", "1/1 * a"])
+def test_eval_embed_refuses_a_word_that_is_not_symmetric(expr, capsys):
+    code, out, err = run_cli(
+        ["eval", "--op", "embed", "--expr", expr, "--gens", "a:2,b:2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err

@@ -1,7 +1,9 @@
 """Enveloping codifferentials, the pre-Lie extension and the coderivation
 checkers."""
 
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -426,3 +428,62 @@ def test_q_linear(ctx):
     lhs = q_total(ctx, e1.scaled(Fraction(2, 3)) + e2.scaled(-5))
     rhs = q_total(ctx, e1).scaled(Fraction(2, 3)) + q_total(ctx, e2).scaled(-5)
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# a pin on the images, with and without the exterior differential
+# ---------------------------------------------------------------------------
+
+# sha256 of the text of every image and of its image under the same map, for
+# the seeded inputs of test_images_and_squares_are_pinned
+IMAGES_SHA256 = "3cd1526bd3fbce34fcce5cd7064ccd4e91c3de58c366db899b0e5f11f8507f55"
+
+
+def _pinned_inputs(model, rng, count=30):
+    """Seeded pair words over tensor words, pair words over atoms and
+    symmetric words over atoms, each in canonical form."""
+    gen = lambda: Gen(model.sample_atom(rng, max_poly_degree=1))
+    tensor_pairs, gen_pairs, syms = [], [], []
+    while len(tensor_pairs) < count:
+        e = rand_pair(model, rng, max_head=3, max_tails=3)
+        if e is not None:
+            tensor_pairs.append(e)
+    while len(gen_pairs) < count:
+        sign, tail = sym_word([gen() for _ in range(rng.randint(0, 3))], SHIFT2)
+        if tail is not None:
+            gen_pairs.append(Element.single(Pair(gen(), tail), sign))
+    while len(syms) < count:
+        sign, word = sym_word([gen() for _ in range(rng.randint(1, 4))], SHIFT2)
+        if word is not None:
+            syms.append(Element.single(word, sign))
+    return tensor_pairs, gen_pairs, syms
+
+
+def test_images_and_squares_are_pinned():
+    """Every envelope map on seeded inputs over the forms model, with the
+    exterior differential off and on: the text of each image and of the map
+    applied twice hashes to a fixed digest, and enough images are nonzero
+    for the pin to mean something.  With d = 0 the bracket of the forms model
+    vanishes, so every nonzero l_infinity_q image comes from d."""
+    lines = []
+    nonzero = Counter()
+    for n in (2, 3):
+        for differential in (False, True):
+            model = FormsModel(n, exterior_differential=differential)
+            ctx = EnvelopeContext(model)
+            rng = random.Random(9000 + 10 * n + differential)
+            tensor_pairs, gen_pairs, syms = _pinned_inputs(model, rng)
+            runs = [(fn, tensor_pairs) for fn in (m_map, r_map, q_total)]
+            runs += [(prelie_envelope_q, gen_pairs), (l_infinity_q, syms)]
+            for fn, inputs in runs:
+                for e in inputs:
+                    once = fn(ctx, e)
+                    nonzero[fn.__name__, differential] += not once.is_zero()
+                    lines.append("%d %d %s %s | %s | %s" % (
+                        n, differential, fn.__name__, element_to_text(e),
+                        element_to_text(once), element_to_text(fn(ctx, once))))
+    assert sum(nonzero.values()) >= 300, nonzero
+    assert nonzero["prelie_envelope_q", True] >= 20, nonzero
+    assert nonzero["l_infinity_q", True] >= 10, nonzero
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == IMAGES_SHA256

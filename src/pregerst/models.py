@@ -25,12 +25,16 @@ elements and returns the exact defect.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from fractions import Fraction
 
 from .errors import SchemaError, UnsupportedModelError
 from .grading import BASE, Generator, GeneratorRegistry
 from .words import Element
+
+
+_COEFFS = (-3, -2, -1, 1, 2, 3)    # sample_form's coefficients
 
 
 def _element(a) -> Element:
@@ -118,24 +122,26 @@ class FormsModel(AlgebraModel):
             raise ValueError("need at least one coordinate")
         self.n_coords = n_coords
         self.exterior_differential = exterior_differential
-        self._keys = {}     # atom name -> monomial key
+        self._keys = {}     # atom -> monomial key
         self._atoms = {}    # monomial key -> atom
 
     # -- monomial plumbing ---------------------------------------------------
 
     def atom(self, exps, dxs) -> Generator:
-        """Intern the monomial with the given exponent vector and dx set."""
-        exps = tuple(int(e) for e in exps)
-        dxs = tuple(sorted(set(int(i) for i in dxs)))
+        """Intern the monomial with the given exponent vector and dx indices."""
+        exps = tuple(map(operator.index, exps))
+        dxs = tuple(map(operator.index, dxs))
         if len(exps) != self.n_coords:
             raise ValueError("exponent vector has wrong length")
         if any(e < 0 for e in exps):
             raise ValueError("negative exponent")
         if any(i < 1 or i > self.n_coords for i in dxs):
             raise ValueError("dx index out of range")
-        name = self._name(exps, dxs)
-        gen = self.registry.declare(name, len(dxs) + 1)
-        self._keys[name] = (exps, dxs)
+        if len(set(dxs)) != len(dxs):
+            raise ValueError("repeated dx index: the form is zero, not a monomial")
+        dxs = tuple(sorted(dxs))
+        gen = self.registry.declare(self._name(exps, dxs), len(dxs) + 1)
+        self._keys[gen] = (exps, dxs)
         return gen
 
     def _atom_at(self, key):
@@ -154,8 +160,9 @@ class FormsModel(AlgebraModel):
         return ".".join(parts) if parts else "one"
 
     def key(self, gen: Generator):
+        # keyed by the whole atom, so a hit also vouches for the degree
         try:
-            return self._keys[gen.name]
+            return self._keys[gen]
         except KeyError:
             pass
         # names are self-describing, so atoms travel between model instances
@@ -173,9 +180,11 @@ class FormsModel(AlgebraModel):
                 else:
                     exps[int(index) - 1] += 1
         key = (tuple(exps), tuple(sorted(dxs)))
+        if len(set(dxs)) != len(dxs) or self._name(*key) != gen.name:
+            raise SchemaError("atom %r is not the canonical name of a monomial" % gen.name)
         if len(dxs) + 1 != gen.degree:
             raise SchemaError("atom %r has inconsistent degree" % gen.name)
-        self._keys[gen.name] = key
+        self._keys[gen] = key
         return key
 
     # -- exterior algebra on monomials ----------------------------------------
@@ -242,35 +251,33 @@ class FormsModel(AlgebraModel):
 
     # -- deterministic sampling -------------------------------------------------
 
+    def _sample_key(self, rng, form_degree, budget):
+        """The key of a monomial of the given form degree and polynomial
+        degree: one randrange per unit of budget, then a sample of dx indices."""
+        n = self.n_coords
+        exps = [0] * n
+        for _ in range(budget):
+            exps[rng.randrange(n)] += 1
+        return tuple(exps), tuple(sorted(rng.sample(range(1, n + 1), form_degree)))
+
     def sample_form(self, rng, form_degree=None, max_poly_degree=3,
                     max_terms=3) -> Element:
         """Homogeneous element of 1..max_terms monomials of one form degree,
         integer coefficients in [-3, 3] \\ {0}; deterministic in rng state."""
-        n = self.n_coords
         if form_degree is None:
-            form_degree = rng.randint(0, n)
+            form_degree = rng.randint(0, self.n_coords)
         out = Element()
         for _ in range(rng.randint(1, max_terms)):
-            exps = [0] * n
-            budget = rng.randint(0, max_poly_degree)
-            for _ in range(budget):
-                exps[rng.randrange(n)] += 1
-            dxs = rng.sample(range(1, n + 1), form_degree)
-            coeff = rng.choice([-3, -2, -1, 1, 2, 3])
-            out.add_term(self.atom(exps, dxs), coeff)
+            key = self._sample_key(rng, form_degree, rng.randint(0, max_poly_degree))
+            out.add_term(self._atom_at(key), rng.choice(_COEFFS))
         if out.is_zero():
-            out = Element.single(self.atom([0] * n, rng.sample(range(1, n + 1), form_degree)))
+            out = Element.single(self._atom_at(self._sample_key(rng, form_degree, 0)))
         return out
 
     def sample_atom(self, rng, form_degree=None, max_poly_degree=3) -> Generator:
-        n = self.n_coords
         if form_degree is None:
-            form_degree = rng.randint(0, n)
-        exps = [0] * n
-        for _ in range(rng.randint(0, max_poly_degree)):
-            exps[rng.randrange(n)] += 1
-        dxs = rng.sample(range(1, n + 1), form_degree)
-        return self.atom(exps, dxs)
+            form_degree = rng.randint(0, self.n_coords)
+        return self._atom_at(self._sample_key(rng, form_degree, rng.randint(0, max_poly_degree)))
 
 
 # ---------------------------------------------------------------------------

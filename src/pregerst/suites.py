@@ -126,7 +126,8 @@ class VerificationReport:
     suite: str
     config: dict
     records: list = field(default_factory=list)
-    total_ms: float = 0.0
+    total_ms: float = 0.0   # checking the instances
+    build_ms: float = 0.0   # building them
 
     @property
     def passed(self):
@@ -177,8 +178,9 @@ class VerificationReport:
                 line += "  input: %s" % r.input_text
                 line += "  defect: %s" % r.defect_text
             out.append(line)
-        out.append("summary: %d pass, %d fail, %d abort  (%.1f s total)"
-                   % (self.passed, self.failed, self.aborted, self.total_ms / 1000.0))
+        out.append("summary: %d pass, %d fail, %d abort  (%.1f s checking, %.1f s building)"
+                   % (self.passed, self.failed, self.aborted, self.total_ms / 1000.0,
+                      self.build_ms / 1000.0))
         if first_failure is not None:
             out.append("first failure: #%d %s" % (first_failure.index, first_failure.check_id))
         return out
@@ -216,8 +218,10 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     set_term_cap(config.term_cap)
     try:
         spec = SUITE_SPECS[config.suite]
+        start = time.monotonic()
         instances = spec.builder(config)
-        report = VerificationReport(config.suite, config.as_dict())
+        report = VerificationReport(config.suite, config.as_dict(),
+                                    build_ms=(time.monotonic() - start) * 1000.0)
         start = time.monotonic()
         for idx, inst in enumerate(instances):
             t0 = time.monotonic()

@@ -1,6 +1,7 @@
 """The differential-forms model and the algebra axiom suites."""
 
 import ast
+import hashlib
 import random
 import warnings
 from fractions import Fraction
@@ -203,6 +204,29 @@ def test_sampler_is_deterministic():
         assert 1 <= len(combo) <= 3
 
 
+SAMPLER_DRAWS_SHA256 = "2a530f94c2a60b9c164706725a369d43d13d941ee95bbf2f3ad45152bbf642e0"
+
+
+def test_sampler_draws_are_pinned():
+    # each draw is followed by getrandbits, so the digest also pins how many
+    # values every sampler takes from the generator
+    lines = []
+    for n in (1, 2, 3, 4):
+        for max_poly in (0, 1, 3):
+            for form_degree in (None,) + tuple(range(n + 1)):
+                model = FormsModel(n)
+                rng = random.Random("%d-%d-%s" % (n, max_poly, form_degree))
+                for _ in range(6):
+                    form = model.sample_form(rng, form_degree, max_poly)
+                    atom = model.sample_atom(rng, form_degree, max_poly)
+                    for a in list(form.terms) + [atom]:
+                        assert model.atom(*model.key(a)) == a
+                    lines.append("%s | %s %d | %d" % (
+                        element_to_text(form), atom.name, atom.degree, rng.getrandbits(32)))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLER_DRAWS_SHA256
+
+
 PACKAGE_MODULES = sorted(Path(pregerst.__file__).parent.glob("*.py"))
 
 
@@ -281,3 +305,33 @@ def test_foreign_atoms_are_rejected_cleanly(m2):
             m2.key(Generator(name, 1 + name.startswith("du")))
     # an atom within range still travels between models
     assert m2.key(m3.atom((1, 1, 0), (2,))) == ((1, 1), (2,))
+
+
+def test_atom_refuses_input_it_would_have_to_rewrite(m2):
+    # a float exponent or index is not truncated
+    for exps, dxs in (((1.5, 0), ()), ((1.0, 0), ()), ((0, 0), (1.0,))):
+        with pytest.raises(TypeError):
+            m2.atom(exps, dxs)
+    # du1 /\ du1 = 0 is not a monomial, so a repeated index is not dropped
+    for dxs in ((1, 1), (2, 1, 2)):
+        with pytest.raises(ValueError):
+            m2.atom((0, 0), dxs)
+    # index-like integers and any order of distinct indices are fine
+    assert m2.atom([True, 0], (2, 1)) == m2.atom((1, 0), (1, 2))
+
+
+def test_key_refuses_wrong_degree_and_non_canonical_names(m2):
+    # the same answer on a fresh model and once the monomial is interned
+    bad = [Generator("u1", 5), Generator("du1", 1), Generator("du2.u1", 2),
+           Generator("u01", 1), Generator("u1.du01", 2), Generator("du1.du1", 3)]
+    for interned in (False, True):
+        if interned:
+            m2.atom((1, 0), ())
+            m2.atom((0, 0), (1,))
+            m2.atom((1, 0), (2,))
+        for gen in bad:
+            with pytest.raises(SchemaError):
+                m2.key(gen)
+            with pytest.raises(SchemaError):
+                m2.diamond_atoms(gen, m2.atom((0, 1), ()))
+    assert m2.key(Generator("u1.du2", 2)) == ((1, 0), (2,))

@@ -1,6 +1,7 @@
 """Suite orchestration: determinism, abort handling, exit codes."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -92,6 +93,17 @@ def test_text_report_carries_timing_and_summary():
     assert lines[0].startswith("suite zinf-square")
     assert "summary:" in lines[-1]
     assert any("ms" in line for line in lines[1:-1])
+
+
+def test_build_time_is_in_the_text_summary_only():
+    rep = run_suite(SuiteConfig(suite="zinbiel-axioms", samples=3))
+    assert rep.build_ms > 0.0 and rep.total_ms > 0.0
+    summary = rep.text_lines()[-1]
+    assert summary.startswith("summary: 3 pass, 0 fail, 0 abort  (")
+    assert summary.endswith(" s checking, %.1f s building)" % (rep.build_ms / 1000.0))
+    for line in rep.structured_lines():
+        assert not {"build_ms", "total_ms", "millis"} & set(json.loads(line))
+        assert "building" not in line and "checking" not in line
 
 
 def test_run_suite_restores_the_term_cap():

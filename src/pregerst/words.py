@@ -46,13 +46,22 @@ generator's degree.
 
 mu and the shuffle product add their signed terms into a dict keyed by factor
 tuples and build Tensor words only for the terms that survive cancellation.
+A sum whose first word has distinct factors is added by arrangement code: a
+word that rearranges it is the int code of its arrangement, a row cached per
+code lists the codes of mu_n's terms on it, and the signed coefficients are
+added into a dict keyed by code; only a surviving code is placed onto the
+first word.  A single word, and any word of a sum that does not rearrange the
+first, goes through the factor-tuple loop.  The code tables, like the sign
+tables, hold operator data only and are lru_caches, so mutant clears them.
 """
 
 from __future__ import annotations
 
 import weakref
+from array import array
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from operator import attrgetter, itemgetter
 
 from .errors import SchemaError, TermBudgetExceeded
@@ -551,23 +560,41 @@ def _shuffle_signs(p: int, q: int, mask: int):
     return tuple(koszul_sign(degs, perm) for perm in shuffles(p, q))
 
 
-def _add_placed(acc: dict, factors: tuple, placers, signs, coeff):
+def _add_placed(acc: dict, factors: tuple, placers, signs, coeff, live: int = 0):
     """Add coeff * sign * (the placed factors) for each row of the tables to
     acc, a map from factor tuples to coefficients.  As in Element.add_term,
     a zero is dropped as it appears and the term cap is checked on each new
-    key."""
+    key, against acc's terms plus live terms held elsewhere."""
     if not coeff:
         return
     get = acc.get
     values = signs if coeff == 1 and type(coeff) is int else [coeff * sign for sign in signs]
-    check = len(acc) + len(values) > _TERM_CAP     # else no row can reach the cap
+    check = live + len(acc) + len(values) > _TERM_CAP     # else no row can reach the cap
     for place, c in zip(placers, values):
         key = place(factors)
         c += get(key, 0)
         if c:
             acc[key] = c
-            if check and len(acc) > _TERM_CAP:
-                raise TermBudgetExceeded(len(acc), _TERM_CAP)
+            if check and live + len(acc) > _TERM_CAP:
+                raise TermBudgetExceeded(live + len(acc), _TERM_CAP)
+        else:
+            del acc[key]
+
+
+def _add_coded(acc: dict, row, signs, coeff, live: int):
+    """_add_placed for a word given by its arrangement code: add coeff * sign
+    at each code of its mu row to acc, a map from codes to coefficients."""
+    if not coeff:
+        return
+    get = acc.get
+    values = signs if coeff == 1 and type(coeff) is int else [coeff * sign for sign in signs]
+    check = live + len(acc) + len(values) > _TERM_CAP
+    for key, c in zip(row, values):
+        c += get(key, 0)
+        if c:
+            acc[key] = c
+            if check and live + len(acc) > _TERM_CAP:
+                raise TermBudgetExceeded(live + len(acc), _TERM_CAP)
         else:
             del acc[key]
 
@@ -638,6 +665,32 @@ def _mu_signs(n: int, mask: int):
     return tuple(c * koszul_sign(degs, perm) for perm, c in _mu_table(n))
 
 
+@lru_cache(maxsize=None)
+def _arrangements(n: int):
+    """The arrangements of n distinct factors met so far, each the bytes of
+    the base positions of the factors slot by slot: a map from arrangement to
+    int code, and the list of arrangements by code."""
+    return {}, []
+
+
+def _arrangement_code(n: int, arrangement: bytes) -> int:
+    codes, arrangements = _arrangements(n)
+    code = codes.get(arrangement)
+    if code is None:
+        code = codes[arrangement] = len(arrangements)
+        arrangements.append(arrangement)
+    return code
+
+
+@lru_cache(maxsize=None)
+def _mu_row(n: int, code: int):
+    """The codes of mu_n's terms on the arrangement with this code, in
+    _mu_signs order, as a compact int array."""
+    arrangement = _arrangements(n)[1][code]
+    return array("H" if n <= 8 else "L",
+                 [_arrangement_code(n, bytes(place(arrangement))) for place in _mu_placers(n)])
+
+
 def mu_word(word: Tensor, view: GradingView) -> Element:
     """Apply mu_n for n = word length; linear combination of same-length words."""
     return mu(len(word.factors), word, view)
@@ -645,9 +698,13 @@ def mu_word(word: Tensor, view: GradingView) -> Element:
 
 def mu(n: int, elem, view: GradingView) -> Element:
     """mu_n on a tensor word or element whose words all have length n."""
+    placers = _mu_placers(n)
     if isinstance(elem, Tensor):
         elem = Element.single(elem)
-    placers = _mu_placers(n)
+    elif len(elem.terms) > 1:
+        first = next(iter(elem.terms))
+        if type(first) is Tensor and len(set(first.factors)) == len(first.factors):
+            return _mu_coded(n, elem, view, first.factors)
     acc = {}
     for w, c in elem.items():
         if type(w) is not Tensor or len(w.factors) != n:
@@ -655,6 +712,37 @@ def mu(n: int, elem, view: GradingView) -> Element:
         factors = w.factors
         _add_placed(acc, factors, placers, _mu_signs(n, _odd_mask(factors, view)), c)
     return _tensors(acc)
+
+
+def _mu_coded(n: int, elem: Element, view: GradingView, base: tuple) -> Element:
+    """mu_n on a sum whose first word, base, has distinct factors.  The words
+    that rearrange base are added by arrangement code: each reads its row of
+    codes and its signs, and only the codes that survive are placed onto base.
+    Any other word is placed factor by factor, as in mu."""
+    placers = _mu_placers(n)
+    codes = _arrangements(n)[0]
+    slot = {f: i for i, f in enumerate(base)}
+    absent = repeat(n)      # the position given to a factor that base lacks
+    acc = {}        # factor tuple -> coefficient
+    coded = {}      # arrangement code -> coefficient
+    for w, c in elem.items():
+        if type(w) is not Tensor or len(w.factors) != n:
+            raise SchemaError("mu_%d needs tensor words of length %d" % (n, n))
+        factors = w.factors
+        signs = _mu_signs(n, _odd_mask(factors, view))
+        arrangement = bytes(map(slot.get, factors, absent))
+        code = codes.get(arrangement)
+        if code is None and n not in arrangement and len(set(arrangement)) == n:
+            code = _arrangement_code(n, arrangement)
+        if code is None:
+            _add_placed(acc, factors, placers, signs, c, len(coded))
+        else:
+            _add_coded(coded, _mu_row(n, code), signs, c, len(acc))
+    out = _tensors(acc)
+    arrangements = _arrangements(n)[1]
+    for code, c in coded.items():
+        out.terms[Tensor([base[i] for i in arrangements[code]])] = c
+    return out
 
 
 def sym_product(a: Element, b: Element, view: GradingView) -> Element:

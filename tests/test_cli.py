@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from pregerst.cli import main
+from pregerst.grading import SHIFT1
+from pregerst.words import Element, mu
 
 
 def run_cli(args, capsys):
@@ -62,6 +64,15 @@ def test_eval_unknown_op(capsys):
     code, _, err = run_cli(
         ["eval", "--op", "frobnicate", "--expr", "1/1 * T(a)", "--gens", "a:2"], capsys)
     assert code == 2
+
+
+def test_mu_of_arity_zero_is_refused(capsys):
+    with pytest.raises(ValueError, match="mu arity must be >= 1"):
+        mu(0, Element(), SHIFT1)
+    code, out, err = run_cli(["eval", "--op", "mu0", "--expr", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: mu arity must be >= 1"
 
 
 def test_verify_text_and_exit_zero(capsys):

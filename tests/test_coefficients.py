@@ -6,6 +6,7 @@ from tables cached per odd-degree pattern; here they are compared with a
 reference that calls koszul_sign once per permutation.
 """
 
+import hashlib
 import itertools
 import random
 from contextlib import nullcontext
@@ -30,6 +31,7 @@ from pregerst.words import (
     Gen,
     Pair,
     Tensor,
+    element_to_text,
     mu,
     mu_word,
     parse_element,
@@ -110,6 +112,71 @@ def test_mu_sums_the_images_of_its_words():
     expected = (mu_word(Tensor((a, b, c)), SHIFT1).scaled(Fraction(2, 3))
                 + mu_word(Tensor((c, a, b)), SHIFT1).scaled(-5))
     assert mu(3, elem, SHIFT1) == expected
+
+
+def seeded_mu_sums(seed):
+    """(n, element) pairs over tensor words of length n: rearrangements of
+    distinct factors, words with a repeated factor, words from two multisets
+    in one sum, shuffle sums that mu cancels, with int, negative and Fraction
+    coefficients; the first word decides whether a sum starts distinct."""
+    rng = random.Random(seed)
+
+    def coeff():
+        return rng.choice((1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)))
+
+    out = []
+    for n in range(2, MAX_N):
+        reg = GeneratorRegistry()
+        gens = [Gen(reg.declare("g%d" % i, rng.randint(1, 2))) for i in range(n + 2)]
+        base = gens[:n]
+        other = gens[1:n + 1]
+        repeated = [gens[0]] * 2 + gens[2:n]
+
+        def rearranged(factors, count):
+            return [Tensor(rng.sample(factors, len(factors))) for _ in range(count)]
+
+        sums = [
+            rearranged(base, 6),
+            rearranged(repeated, 3),
+            rearranged(base, 4) + rearranged(other, 3),
+            rearranged(base, 3) + rearranged(repeated, 2) + rearranged(other, 2),
+            rearranged(repeated, 2) + rearranged(base, 3),
+        ]
+        for words in sums:
+            elem = Element()
+            for w in words:
+                elem.add_term(w, coeff())
+            out.append((n, elem))
+        for p in range(1, n):
+            sh = shuffle_product(Tensor(base[:p]), Tensor(base[p:]), SHIFT1)
+            out.append((n, sh.scaled(coeff())))
+            out.append((n, sh + Element.single(Tensor(rng.sample(base, n)), coeff())))
+    return out
+
+
+# sha256 of the text of mu of every seeded sum, clean and with mu2_identity
+MU_SUMS_SHA256 = {
+    False: "06bf539ab2148b1ddc14126b8fdc4da5bce2ea8975173885d6817ca5ca7ceda7",
+    True: "d57345f0f282097f9afcefe9f4ea1ec353df43335bf9eea0b899fe3660731d89",
+}
+
+
+@pytest.mark.parametrize("mu2_identity", [False, True])
+def test_mu_on_sums_matches_per_permutation_reference(mu2_identity):
+    with mutant("mu2_identity") if mu2_identity else nullcontext():
+        lines = []
+        for seed in range(4):
+            for n, elem in seeded_mu_sums(seed):
+                expected = Element()
+                for w, c in elem.items():
+                    expected = expected + reference_mu(w, mu2_identity).scaled(c)
+                got = mu(n, elem, SHIFT1)
+                assert got == expected, (seed, n, element_to_text(elem))
+                lines.append(element_to_text(got))
+    # clean, mu kills the shuffle sums
+    assert any(line == "0" for line in lines) != mu2_identity
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == MU_SUMS_SHA256[mu2_identity]
 
 
 def exact(coeffs):

@@ -4,6 +4,7 @@ intern tables, and the tuple-keyed mu and shuffle kernels."""
 import contextlib
 import gc
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -123,10 +124,25 @@ def test_intern_tables_shrink_back_after_a_run():
     assert all(n <= m for n, m in zip(after, before)), (before, after)
 
 
+def cap_sums():
+    """(n, sum, peak live terms while mu adds it, terms of the result): a
+    shuffle sum that mu cancels, and rearrangements of abcd with a word from
+    another multiset and one with a repeated factor, some terms cancelling."""
+    reg = GeneratorRegistry()
+    a, b, c, d, e = (Gen(reg.declare(n, deg)) for n, deg in zip("abcde", (1, 2, 2, 3, 1)))
+    cancelling = shuffle_product(Tensor((a, b)), Tensor((c, d, e)), SHIFT1).scaled(Fraction(-2, 3))
+    surviving = Element({Tensor((a, b, c, d)): 1, Tensor((c, a, d, b)): -2,
+                         Tensor((a, b, c, e)): Fraction(1, 2), Tensor((d, b, a, c)): 3,
+                         Tensor((a, a, b, c)): -1, Tensor((b, a, d, c)): 1,
+                         Tensor((b, a, c, d)): 1})
+    return [(5, cancelling, 32, 0), (4, surviving, 36, 34)]
+
+
 def test_mu_and_shuffle_stop_at_the_term_cap():
     reg = GeneratorRegistry()
     a, b, c, d = (Gen(reg.declare(n, 2)) for n in "abcd")
     word = Tensor((a, b, c, d))
+    sums = cap_sums()
     old = get_term_cap()
     try:
         set_term_cap(8)
@@ -138,6 +154,16 @@ def test_mu_and_shuffle_stop_at_the_term_cap():
         set_term_cap(5)
         with pytest.raises(TermBudgetExceeded):
             shuffle_product(Tensor((a, b)), Tensor((c, d)), SHIFT1)
+        # on a sum the cap counts every live term, as Element.add_term would:
+        # a cap below the peak aborts when the term one past it appears
+        for n, elem, peak, size in sums:
+            for cap in range(1, peak):
+                set_term_cap(cap)
+                with pytest.raises(TermBudgetExceeded) as info:
+                    mu(n, elem, SHIFT1)
+                assert (info.value.count, info.value.cap) == (cap + 1, cap)
+            set_term_cap(peak)
+            assert len(mu(n, elem, SHIFT1)) == size
     finally:
         set_term_cap(old)
 

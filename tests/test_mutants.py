@@ -12,7 +12,7 @@ from pregerst.grading import SHIFT1, GeneratorRegistry
 from pregerst.models import FormsModel
 from pregerst.mutations import ALL_MUTATION_NAMES, PATCHES, mutant
 from pregerst.suites import SuiteConfig, run_suite
-from pregerst.words import Element, Gen, Tensor, mu_word
+from pregerst.words import Element, Gen, Tensor, mu, mu_word, shuffle_product
 
 
 def live_function(patch):
@@ -84,6 +84,16 @@ def test_a_table_built_under_a_mutant_does_not_survive_it():
         mutated = mu_word(word, SHIFT1)
     assert mutated != clean
     assert mu_word(word, SHIFT1) == clean
+
+
+def test_mu_code_rows_built_outside_a_mutant_are_not_read_inside_it():
+    reg = GeneratorRegistry()
+    atoms = tuple(Gen(reg.declare("s%d" % i, d)) for i, d in enumerate((1, 2, 2, 1)))
+    sh = shuffle_product(Tensor(atoms[:2]), Tensor(atoms[2:]), SHIFT1)
+    assert mu(4, sh, SHIFT1).is_zero()       # builds the code rows of these words
+    with mutant("mu2_identity"):
+        assert not mu(4, sh, SHIFT1).is_zero()
+    assert mu(4, sh, SHIFT1).is_zero()
 
 
 def _d_squares_to_zero(ctx, u1, u2):

@@ -37,8 +37,8 @@ for axiom in axioms:
                           else "%d NONZERO DEFECTS" % bad))
 
 print("\nA model differential is admitted only if it derives both products.")
-print("The exterior derivative derives the wedge but not the diamond:")
+print("The exterior derivative derives the wedge, and the diamond with the sign")
+print("(-1)^{|x|-1} of passing an operation of degree -1:")
 print("  zero differential admitted:    ", admit_differential(FormsModel(2), random.Random(1)))
 print("  exterior derivative admitted:  ",
       admit_differential(FormsModel(2, exterior_differential=True), random.Random(1)))
-print("Conforming runs therefore use the zero differential.")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import partial
 
 from .cooperations import cocrochet_lie, delta_cocom, delta_leibniz, delta_perm, kappa, kappa_prime
 from .errors import ParseError, SchemaError, TermBudgetExceeded, UnsupportedModelError
@@ -30,15 +31,38 @@ from .words import (
 
 _VIEWS = {"base": BASE, "deg": SHIFT1, "degp": SHIFT2}
 
-# op name -> (arity, default view, needs tensor words)
-_UNARY_OPS = {"normalize", "embed", "delta", "delta_cocom", "delta_perm",
-              "kappa", "kappa_prime", "cocrochet"}
-_BINARY_OPS = {"shuffle", "sym_product"}
-_DEFAULT_VIEW = {
-    "normalize": "deg", "embed": "degp", "delta": "deg", "delta_cocom": "deg",
-    "delta_perm": "degp", "kappa": "degp", "kappa_prime": "degp",
-    "cocrochet": "deg", "shuffle": "deg", "sym_product": "degp",
+
+def _shuffle(a, b, view):
+    return a.map_pairs(b, lambda w1, w2: shuffle_product(w1, w2, view))
+
+
+# eval --op name -> (number of elements, default view, the operation on the
+# normalized elements and the view); mu<N> stands for mu2, mu3, ..., whose
+# operation is mu with that arity
+_OPS = {
+    "normalize": (1, "deg", lambda a, view: a),
+    "mu<N>": (1, "deg", mu),
+    "shuffle": (2, "deg", _shuffle),
+    "sym_product": (2, "degp", sym_product),
+    "embed": (1, "degp", embed_element),
+    "delta": (1, "deg", delta_leibniz),
+    "delta_cocom": (1, "deg", delta_cocom),
+    "delta_perm": (1, "degp", delta_perm),
+    "kappa": (1, "degp", kappa),
+    "kappa_prime": (1, "degp", kappa_prime),
+    "cocrochet": (1, "deg", cocrochet_lie),
 }
+
+
+def _eval_op(op):
+    """The _OPS entry of an --op value, mu<N>'s operation bound to its N."""
+    match = re.fullmatch(r"mu(\d+)", op)
+    if match:
+        count, view, fn = _OPS["mu<N>"]
+        return count, view, partial(fn, int(match.group(1)))
+    if op not in _OPS or op == "mu<N>":
+        raise ValueError("unknown operation %r" % op)
+    return _OPS[op]
 
 
 def _build_parser():
@@ -63,8 +87,7 @@ def _build_parser():
 
     e = sub.add_parser("eval", help="apply one operation to an element")
     e.add_argument("--op", required=True,
-                   help="one of: normalize, mu<N>, shuffle, sym_product, embed, "
-                        "delta, delta_cocom, delta_perm, kappa, kappa_prime, cocrochet")
+                   help="one of: " + ", ".join(_OPS))
     e.add_argument("--expr", required=True, help="element in the canonical grammar")
     e.add_argument("--expr2", default=None, help="second element for binary operations")
     e.add_argument("--gens", default="",
@@ -125,44 +148,12 @@ def _cmd_eval(args) -> int:
         registry = _parse_gens(args.gens)
         elem = parse_element(args.expr, registry)
         elem2 = parse_element(args.expr2, registry) if args.expr2 else None
-        op = args.op
-        mu_match = re.fullmatch(r"mu(\d+)", op)
-        view_name = args.view or _DEFAULT_VIEW.get("mu" if mu_match else op, "deg")
-        view = _VIEWS[view_name]
-        if mu_match:
-            arity = int(mu_match.group(1))
-            result = mu(arity, normalize(elem, view), view)
-            _emit(element_to_text(result), args.out)
-            return 0
-        if op in _BINARY_OPS:
-            if elem2 is None:
-                raise ValueError("operation %s needs --expr2" % op)
-            a = normalize(elem, view)
-            b = normalize(elem2, view)
-            if op == "shuffle":
-                out = a.map_pairs(b, lambda w1, w2: shuffle_product(w1, w2, view))
-                _emit(element_to_text(out), args.out)
-            else:
-                _emit(element_to_text(sym_product(a, b, view)), args.out)
-            return 0
-        if op not in _UNARY_OPS:
-            raise ValueError("unknown operation %r" % op)
-        a = normalize(elem, view)
-        if op == "normalize":
-            _emit(element_to_text(a), args.out)
-            return 0
-        if op == "embed":
-            _emit(element_to_text(embed_element(a, view)), args.out)
-            return 0
-        coproducts = {
-            "delta": delta_leibniz,
-            "delta_cocom": delta_cocom,
-            "delta_perm": delta_perm,
-            "kappa": kappa,
-            "kappa_prime": kappa_prime,
-            "cocrochet": cocrochet_lie,
-        }
-        _emit(element_to_text(coproducts[op](a, view)), args.out)
+        count, default_view, fn = _eval_op(args.op)
+        view = _VIEWS[args.view or default_view]
+        if count == 2 and elem2 is None:
+            raise ValueError("operation %s needs --expr2" % args.op)
+        elems = [normalize(e, view) for e in (elem, elem2)[:count]]
+        _emit(element_to_text(fn(*elems, view)), args.out)
         return 0
     except (ParseError, SchemaError, ValueError, KeyError,
             UnsupportedModelError, TermBudgetExceeded) as exc:

@@ -429,9 +429,12 @@ _LAW_DEFAULT_VIEW = {
     LawId.COMPAT_3: SHIFT2,
 }
 
+# The checks name the predicates inside lambdas, so each name is looked up
+# when a law runs: a function object captured at import would bypass a
+# wrapper bound to the module name later.
 _LAW_SPACE_CHECK = {
-    LawId.LEIBNIZ_COALG: (is_tensor_of_gens, "tensor words over generators"),
-    LawId.COJACOBI_DELTA: (is_tensor_of_gens, "tensor words over generators"),
+    LawId.LEIBNIZ_COALG: (lambda w: is_tensor_of_gens(w), "tensor words over generators"),
+    LawId.COJACOBI_DELTA: (lambda w: is_tensor_of_gens(w), "tensor words over generators"),
     LawId.KAPPA_COSYM: (
         lambda w: is_sym_of(w, is_tensor_of_gens),
         "symmetric words of tensor factors",
@@ -440,10 +443,10 @@ _LAW_SPACE_CHECK = {
         lambda w: is_pair_over_tensors(w) or is_pair_over_gens(w),
         "pair words",
     ),
-    LawId.KAPPA_COJACOBI: (is_pair_over_tensors, "pair words with tensor heads"),
-    LawId.COMPAT_1: (is_pair_over_tensors, "pair words with tensor heads"),
-    LawId.COMPAT_2: (is_pair_over_tensors, "pair words with tensor heads"),
-    LawId.COMPAT_3: (is_pair_over_tensors, "pair words with tensor heads"),
+    LawId.KAPPA_COJACOBI: (lambda w: is_pair_over_tensors(w), "pair words with tensor heads"),
+    LawId.COMPAT_1: (lambda w: is_pair_over_tensors(w), "pair words with tensor heads"),
+    LawId.COMPAT_2: (lambda w: is_pair_over_tensors(w), "pair words with tensor heads"),
+    LawId.COMPAT_3: (lambda w: is_pair_over_tensors(w), "pair words with tensor heads"),
 }
 
 

@@ -67,7 +67,7 @@ from .words import (
     is_sym_of,
     is_tensor_of_gens,
     require,
-    shuffle_factors,
+    shuffle_terms,
     sym_insert,
 )
 
@@ -180,14 +180,6 @@ def r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     return _image(ctx, (x, y), _r2_words, x, y)
 
 
-def _shuffled(left, right):
-    """(factors, sign) for each signed shuffle of two factor tuples in the
-    deg view; two empty tuples give the one empty tuple."""
-    if not (left or right):
-        return (((), 1),)
-    return [(w.factors, s) for w, s in shuffle_factors(left, right, SHIFT1).items()]
-
-
 def _r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     xs, ys = x.factors, y.factors
     xdeg = [degree(f, SHIFT1) for f in xs]
@@ -205,7 +197,7 @@ def _r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
             continue
         pref = -1 if (y1_odd and sum(xdeg[k:]) & 1) else 1
         prefix = xs[:k - 1]
-        for tail, ts in _shuffled(xs[k:], ys[1:]):
+        for tail, ts in shuffle_terms(xs[k:], ys[1:], SHIFT1).items():
             for g, c in atoms.items():
                 out.add_term(Tensor(prefix + (Gen(g),) + tail), pref * ts * c)
     return out

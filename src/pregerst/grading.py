@@ -77,9 +77,6 @@ class GeneratorRegistry:
         except KeyError:
             raise KeyError("unknown generator %r" % name) from None
 
-    def __contains__(self, name):
-        return name in self._by_name
-
 
 class Permutation:
     """A bijection of {1..n}, stored as the tuple of 1-based images."""

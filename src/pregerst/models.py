@@ -12,9 +12,10 @@ mapping atom -> coefficient and return Elements.
 FormsModel: exterior differential forms with polynomial coefficients over
 the rationals in n variables.  A monomial atom is u^a dx_I with base degree
 |I| + 1.  The model wedge is x ^ y = (1/|y|) x /\ dy and the diamond is the
-plain exterior product; the exterior derivative itself is kept available but
-is NOT installed as the model differential (it fails the diamond-derivation
-admission check, see admit_differential), so conforming runs use d = 0.
+plain exterior product.  The exterior derivative derives both with the signs
+admit_differential checks, d(x^y) = dx^y + (-1)^{|x|} x^dy and, the diamond
+having degree -1, d(x<>y) = dx<>y + (-1)^{|x|-1} x<>dy; it is installed only
+when asked for (exterior_differential=True), so the suites run with d = 0.
 
 FormalModel: named abstract generators; any operation beyond degree
 bookkeeping is rejected.  It serves the model-independent coalgebra laws.
@@ -383,7 +384,8 @@ def axiom_defect(model: AlgebraModel, axiom: AxiomId, args) -> Element:
         return dd(w(x, y)) - w(dd(x), y) - w(x, dd(y)).scaled(_sign(degs[0]))
     if axiom is AxiomId.D_DERIV_DIAMOND:
         x, y = args
-        return dd(dm(x, y)) - dm(dd(x), y) - dm(x, dd(y)).scaled(_sign(degs[0]))
+        # the diamond has degree -1, so d passes x with the shifted sign
+        return dd(dm(x, y)) - dm(dd(x), y) - dm(x, dd(y)).scaled(_sign(degs[0] - 1))
     raise ValueError("unknown axiom %r" % axiom)
 
 

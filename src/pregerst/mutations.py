@@ -42,7 +42,7 @@ PATCHES = {
     "mu2_identity": Patch("words", "_mu_table", "for p, c in extended:",
                           "for p, c in (extended if n != 2 else ()):"),
     # shuffle interleavings lose their Koszul signs.
-    "shuffle_unsigned": Patch("words", "shuffle_factors",
+    "shuffle_unsigned": Patch("words", "shuffle_terms",
                               "mask = _odd_mask(factors, view)", "mask = 0"),
     # the bracket inside the pre-Lie extension uses + instead of -.
     "r2_bracket_plus": Patch("envelopes", "_bracket_atoms", "sign > 0", "sign < 0"),

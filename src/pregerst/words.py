@@ -44,15 +44,19 @@ SHIFT2 (the word seen one shift deeper) and sums the legs' |x| for BASE; Sym
 and Pair just sum their children in each view; a model atom has its
 generator's degree.
 
-mu and the shuffle product add their signed terms into a dict keyed by factor
-tuples and build Tensor words only for the terms that survive cancellation.
-A sum whose first word has distinct factors is added by arrangement code: a
-word that rearranges it is the int code of its arrangement, a row cached per
-code lists the codes of mu_n's terms on it, and the signed coefficients are
-added into a dict keyed by code; only a surviving code is placed onto the
-first word.  A single word, and any word of a sum that does not rearrange the
-first, goes through the factor-tuple loop.  The code tables, like the sign
-tables, hold operator data only and are lru_caches, so mutant clears them.
+One signed-sum kernel.  mu and the shuffles add coeff * sign at each key of
+a term into a plain dict, through one accumulator, _add_signed, that drops a
+zero as it appears and checks the term cap on each new key.  A key is a
+factor tuple placed by a cached itemgetter, or the int code of an
+arrangement.  shuffle_terms returns its dict of factor tuples as it stands,
+and only shuffle_product makes Tensor words of them.  mu places a single
+word.  On a sum whose first word has distinct factors, each word that
+rearranges the first is keyed by its arrangement code, a row cached per code
+lists the codes of mu_n's terms on it, and the signed coefficients go into a
+second dict; any other word is placed into the first, and each dict checks
+the cap against both.  Only the terms that survive become Tensor words.
+The code tables, like the sign tables, hold operator data only and are
+lru_caches, so mutant clears them.
 """
 
 from __future__ import annotations
@@ -537,9 +541,8 @@ def _placer(perm: Permutation):
 def _odd_mask(factors, view: GradingView) -> int:
     """Odd-degree pattern of a word: bit i is set when factor i is odd."""
     mask = 0
-    for i, f in enumerate(factors):
-        if f.degrees[view] & 1:
-            mask |= 1 << i
+    for f in reversed(factors):
+        mask = mask << 1 | f.degrees[view] & 1
     return mask
 
 
@@ -560,36 +563,18 @@ def _shuffle_signs(p: int, q: int, mask: int):
     return tuple(koszul_sign(degs, perm) for perm in shuffles(p, q))
 
 
-def _add_placed(acc: dict, factors: tuple, placers, signs, coeff, live: int = 0):
-    """Add coeff * sign * (the placed factors) for each row of the tables to
-    acc, a map from factor tuples to coefficients.  As in Element.add_term,
-    a zero is dropped as it appears and the term cap is checked on each new
-    key, against acc's terms plus live terms held elsewhere."""
+def _add_signed(acc: dict, keys, signs, coeff, live: int):
+    """Add coeff * sign at each key to acc, a map from keys to coefficients,
+    pairing keys and signs in order; a key is a placed factor tuple or an
+    arrangement code.  As in Element.add_term, a zero is dropped as it
+    appears and the term cap is checked on each new key, against acc's terms
+    plus live terms held elsewhere."""
     if not coeff:
         return
     get = acc.get
     values = signs if coeff == 1 and type(coeff) is int else [coeff * sign for sign in signs]
-    check = live + len(acc) + len(values) > _TERM_CAP     # else no row can reach the cap
-    for place, c in zip(placers, values):
-        key = place(factors)
-        c += get(key, 0)
-        if c:
-            acc[key] = c
-            if check and live + len(acc) > _TERM_CAP:
-                raise TermBudgetExceeded(live + len(acc), _TERM_CAP)
-        else:
-            del acc[key]
-
-
-def _add_coded(acc: dict, row, signs, coeff, live: int):
-    """_add_placed for a word given by its arrangement code: add coeff * sign
-    at each code of its mu row to acc, a map from codes to coefficients."""
-    if not coeff:
-        return
-    get = acc.get
-    values = signs if coeff == 1 and type(coeff) is int else [coeff * sign for sign in signs]
-    check = live + len(acc) + len(values) > _TERM_CAP
-    for key, c in zip(row, values):
+    check = live + len(acc) + len(values) > _TERM_CAP     # else no key can reach the cap
+    for key, c in zip(keys, values):
         c += get(key, 0)
         if c:
             acc[key] = c
@@ -602,34 +587,33 @@ def _add_coded(acc: dict, row, signs, coeff, live: int):
 def _tensors(acc: dict) -> Element:
     """The element whose terms are the tensor words of acc's factor tuples."""
     out = Element()
-    out.terms = {Tensor(factors): c for factors, c in acc.items()}
+    terms = out.terms
+    for factors, c in acc.items():     # a loop, not a comprehension: most accs are tiny
+        terms[Tensor(factors)] = c
     return out
 
 
-def shuffle_factors(left, right, view: GradingView) -> Element:
-    """Signed sum over (p,q)-shuffles of the concatenated factor lists.
-
-    Empty sides degenerate to the single unshuffled word; with both sides
-    empty this is the empty product and the caller must not ask for a word.
-    """
-    left = tuple(left)
-    right = tuple(right)
-    p, q = len(left), len(right)
+def shuffle_terms(left, right, view: GradingView) -> dict:
+    """Signed sum over (p,q)-shuffles of the concatenated factor tuples, as a
+    map from each surviving shuffled factor tuple to its sign.  An empty side
+    gives the one unshuffled tuple, {left + right: 1}; with both sides empty
+    that is the empty tuple."""
+    left, right = tuple(left), tuple(right)
     factors = left + right
-    if p == 0 and q == 0:
-        raise SchemaError("cannot shuffle two empty words into a tensor word")
-    if p == 0 or q == 0:
-        return Element.single(Tensor(factors))
+    if not (left and right):
+        return {factors: 1}
+    p, q = len(left), len(right)
     mask = _odd_mask(factors, view)
     acc = {}
-    _add_placed(acc, factors, _shuffle_placers(p, q), _shuffle_signs(p, q, mask), 1)
-    return _tensors(acc)
+    _add_signed(acc, [place(factors) for place in _shuffle_placers(p, q)],
+                _shuffle_signs(p, q, mask), 1, 0)
+    return acc
 
 
 def shuffle_product(left: Tensor, right: Tensor, view: GradingView) -> Element:
     if not isinstance(left, Tensor) or not isinstance(right, Tensor):
         raise SchemaError("shuffle product expects tensor words")
-    return shuffle_factors(left.factors, right.factors, view)
+    return _tensors(shuffle_terms(left.factors, right.factors, view))
 
 
 @lru_cache(maxsize=None)
@@ -697,51 +681,41 @@ def mu_word(word: Tensor, view: GradingView) -> Element:
 
 
 def mu(n: int, elem, view: GradingView) -> Element:
-    """mu_n on a tensor word or element whose words all have length n."""
+    """mu_n on a tensor word or element whose words all have length n.  A
+    single word is placed; on a sum whose first word, base, has distinct
+    factors, a word that rearranges base is added by arrangement code, and
+    only the codes that survive are placed onto base."""
     placers = _mu_placers(n)
-    if isinstance(elem, Tensor):
-        elem = Element.single(elem)
-    elif len(elem.terms) > 1:
-        first = next(iter(elem.terms))
-        if type(first) is Tensor and len(set(first.factors)) == len(first.factors):
-            return _mu_coded(n, elem, view, first.factors)
-    acc = {}
-    for w, c in elem.items():
-        if type(w) is not Tensor or len(w.factors) != n:
-            raise SchemaError("mu_%d needs tensor words of length %d" % (n, n))
-        factors = w.factors
-        _add_placed(acc, factors, placers, _mu_signs(n, _odd_mask(factors, view)), c)
-    return _tensors(acc)
-
-
-def _mu_coded(n: int, elem: Element, view: GradingView, base: tuple) -> Element:
-    """mu_n on a sum whose first word, base, has distinct factors.  The words
-    that rearrange base are added by arrangement code: each reads its row of
-    codes and its signs, and only the codes that survive are placed onto base.
-    Any other word is placed factor by factor, as in mu."""
-    placers = _mu_placers(n)
-    codes = _arrangements(n)[0]
-    slot = {f: i for i, f in enumerate(base)}
-    absent = repeat(n)      # the position given to a factor that base lacks
+    terms = {elem: 1} if isinstance(elem, Tensor) else elem.terms
     acc = {}        # factor tuple -> coefficient
     coded = {}      # arrangement code -> coefficient
-    for w, c in elem.items():
+    slot = None     # base factor -> its position, when the sum is coded
+    if len(terms) > 1:
+        first = next(iter(terms))
+        base = first.factors if type(first) is Tensor else ()
+        if len(set(base)) == len(base) == n:
+            slot = {f: i for i, f in enumerate(base)}
+            codes = _arrangements(n)[0]
+            absent = repeat(n)      # the position given to a factor that base lacks
+    for w, c in terms.items():
         if type(w) is not Tensor or len(w.factors) != n:
             raise SchemaError("mu_%d needs tensor words of length %d" % (n, n))
         factors = w.factors
         signs = _mu_signs(n, _odd_mask(factors, view))
-        arrangement = bytes(map(slot.get, factors, absent))
-        code = codes.get(arrangement)
-        if code is None and n not in arrangement and len(set(arrangement)) == n:
-            code = _arrangement_code(n, arrangement)
-        if code is None:
-            _add_placed(acc, factors, placers, signs, c, len(coded))
-        else:
-            _add_coded(coded, _mu_row(n, code), signs, c, len(acc))
+        if slot is not None:
+            arrangement = bytes(map(slot.get, factors, absent))
+            code = codes.get(arrangement)
+            if code is None and n not in arrangement and len(set(arrangement)) == n:
+                code = _arrangement_code(n, arrangement)
+            if code is not None:
+                _add_signed(coded, _mu_row(n, code), signs, c, len(acc))
+                continue
+        _add_signed(acc, [place(factors) for place in placers], signs, c, len(coded))
     out = _tensors(acc)
-    arrangements = _arrangements(n)[1]
-    for code, c in coded.items():
-        out.terms[Tensor([base[i] for i in arrangements[code]])] = c
+    if coded:
+        arrangements = _arrangements(n)[1]
+        for code, c in coded.items():
+            out.terms[Tensor([base[i] for i in arrangements[code]])] = c
     return out
 
 

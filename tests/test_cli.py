@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from pregerst.cli import main
+from pregerst.cli import _OPS, main
 from pregerst.grading import SHIFT1
 from pregerst.words import Element, mu
 
@@ -51,6 +51,59 @@ def test_eval_shuffle_and_sym_product(capsys):
          "--expr2", "1/1 * S(T(b))", "--gens", "a:2,b:2"], capsys)
     assert code == 0
     assert out.strip() == "1/1 * S(T(a),T(b))"
+
+
+# one run of every eval operation: its --op value, its arguments and its
+# output, over generators a:1, b:2, c:3
+EVAL_CASES = {
+    "normalize": ("normalize", ["--expr", "1/1 * S(T(b),T(a))"], "1/1 * S(T(a),T(b))"),
+    "mu<N>": ("mu3", ["--expr", "1/1 * T(a,b,c)"],
+              "1/1 * T(a,b,c) + -1/1 * T(b,a,c) + -1/1 * T(b,c,a) + 1/1 * T(c,b,a)"),
+    "shuffle": ("shuffle", ["--expr", "1/1 * T(a)", "--expr2", "1/1 * T(b,c)"],
+                "1/1 * T(a,b,c) + 1/1 * T(b,a,c) + 1/1 * T(b,c,a)"),
+    "sym_product": ("sym_product", ["--expr", "1/1 * S(T(a))", "--expr2", "1/1 * S(T(b))"],
+                    "1/1 * S(T(a),T(b))"),
+    "embed": ("embed", ["--expr", "1/1 * S(T(a),T(b))"],
+              "1/1 * P(T(a); S(T(b))) + 1/1 * P(T(b); S(T(a)))"),
+    "delta": ("delta", ["--expr", "1/1 * T(a,b,c)"],
+              "1/1 * T(a) # T(b,c) + -1/1 * T(a) # T(c,b) + 1/1 * T(a,b) # T(c)"),
+    "delta_cocom": ("delta_cocom", ["--expr", "1/1 * S(T(a),T(b))"],
+                    "1/1 * S(T(a)) # S(T(b)) + 1/1 * S(T(b)) # S(T(a))"),
+    "delta_perm": ("delta_perm", ["--expr", "1/1 * P(T(a); S(T(b),T(c)))"],
+                   "1/1 * P(T(a); S()) # P(T(b); S(T(c))) + 1/1 * P(T(a); S()) # P(T(c); S(T(b)))"
+                   " + 1/1 * P(T(a); S(T(b))) # P(T(c); S()) + 1/1 * P(T(a); S(T(c))) # P(T(b); S())"),
+    "kappa": ("kappa", ["--expr", "1/1 * P(T(a,b); S(T(c)))"],
+              "-1/1 * P(T(a); S()) # P(T(b); S(T(c))) + -1/1 * P(T(a); S()) # P(T(c); S(T(b)))"
+              " + -1/1 * P(T(a); S(T(c))) # P(T(b); S()) + -1/1 * P(T(b); S()) # P(T(a); S(T(c)))"
+              " + 1/1 * P(T(b); S()) # P(T(c); S(T(a))) + 1/1 * P(T(b); S(T(c))) # P(T(a); S())"),
+    "kappa_prime": ("kappa_prime", ["--expr", "1/1 * S(T(a,b),T(c))"],
+                    "-1/1 * P(T(a); S()) # P(T(b); S(T(c))) + -1/1 * P(T(a); S()) # P(T(c); S(T(b)))"
+                    " + -1/1 * P(T(a); S(T(c))) # P(T(b); S()) + -1/1 * P(T(b); S()) # P(T(a); S(T(c)))"
+                    " + 1/1 * P(T(b); S()) # P(T(c); S(T(a))) + 1/1 * P(T(b); S(T(c))) # P(T(a); S())"
+                    " + 1/1 * P(T(c); S(T(a))) # P(T(b); S()) + 1/1 * P(T(c); S(T(b))) # P(T(a); S())"),
+    "cocrochet": ("cocrochet", ["--expr", "1/1 * T(a,b)"], "1/1 * T(a) # T(b) + -1/1 * T(b) # T(a)"),
+}
+
+
+@pytest.mark.parametrize("name", list(_OPS))
+def test_every_eval_operation_runs(name, capsys):
+    op, rest, expected = EVAL_CASES[name]
+    code, out, err = run_cli(["eval", "--op", op] + rest + ["--gens", "a:1,b:2,c:3"], capsys)
+    assert (code, out.strip(), err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("op", ["mu", "mu<N>"])
+def test_eval_mu_needs_its_arity(op, capsys):
+    code, out, err = run_cli(["eval", "--op", op, "--expr", "1/1 * T(a)", "--gens", "a:2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: unknown operation %r" % op
+
+
+def test_eval_binary_operation_needs_a_second_element(capsys):
+    code, out, err = run_cli(
+        ["eval", "--op", "shuffle", "--expr", "1/1 * T(a)", "--gens", "a:2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: operation shuffle needs --expr2"
 
 
 def test_eval_parse_error_reports_position(capsys):

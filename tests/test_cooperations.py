@@ -219,6 +219,23 @@ def test_leibniz_law_fails_under_mu2_mutation():
     assert not defect.is_zero()
 
 
+def test_law_space_checks_read_the_predicates_at_call_time(monkeypatch):
+    # a predicate rebound on the module after import is the one a law runs,
+    # as a tracer's wrapper would be
+    from pregerst import cooperations
+    reg = GeneratorRegistry()
+    word = Element.single(Tensor(tuple(Gen(reg.declare(n, 2)) for n in "ab")))
+    seen = []
+
+    def refuse(w):
+        seen.append(w)
+        return False
+    monkeypatch.setattr(cooperations, "is_tensor_of_gens", refuse)
+    with pytest.raises(SchemaError, match="tensor words over generators"):
+        law_defect(LawId.LEIBNIZ_COALG, word)
+    assert seen == list(word.terms)
+
+
 def test_cojacobi_for_the_lie_cocrochet():
     for n in range(1, 5):
         for pattern in itertools.product((1, 2), repeat=n):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import pregerst
+from pregerst.envelopes import EnvelopeContext, q_total
 from pregerst.errors import SchemaError, UnsupportedModelError
 from pregerst.grading import BASE, Generator
 from pregerst.models import (
@@ -20,7 +21,7 @@ from pregerst.models import (
     axiom_defect,
 )
 from pregerst.mutations import mutant
-from pregerst.words import element_to_text
+from pregerst.words import Element, Gen, Pair, Sym, Tensor, element_to_text
 
 ALGEBRA_AXIOMS = [
     AxiomId.ZINBIEL, AxiomId.PRELIE, AxiomId.COMPAT_A, AxiomId.COMPAT_B,
@@ -143,17 +144,38 @@ def test_exterior_derivative_properties():
 
 def test_differential_admission_gate():
     # the zero differential is always admitted; the exterior derivative
-    # derives the model wedge but fails the diamond derivation sign, so a
-    # forms model declaring it is rejected
+    # derives the model wedge, and the diamond with the shifted sign, so a
+    # forms model declaring it is admitted
     assert admit_differential(FormsModel(2), random.Random(1))
+    for n in (1, 2, 3):
+        for seed in (1, 2, 3):
+            exterior = FormsModel(n, exterior_differential=True)
+            assert admit_differential(exterior, random.Random(seed))
+    # each half on its own
     exterior = FormsModel(2, exterior_differential=True)
-    assert not admit_differential(exterior, random.Random(1))
-    # the wedge half alone does pass
     rng = random.Random(2)
     for _ in range(25):
         x = exterior.sample_form(rng, max_poly_degree=2)
         y = exterior.sample_form(rng, max_poly_degree=2)
         assert not axiom_defect(exterior, AxiomId.D_DERIV_WEDGE, [x, y])
+        assert not axiom_defect(exterior, AxiomId.D_DERIV_DIAMOND, [x, y])
+
+
+def test_diamond_derivation_axiom_is_what_q_squared_needs():
+    # with a free d, the corestriction of Q^2 on P(T(a); S(T(b))) is
+    # d(a<>b) - da<>b - (-1)^{|a|-1} a<>db up to a scalar: on such pairs the
+    # diamond-derivation axiom holds exactly where Q^2 vanishes, and the
+    # exterior derivative gives Q^2 = 0 on every one
+    model = FormsModel(2, exterior_differential=True)
+    rng = random.Random(7)
+    for _ in range(60):
+        a = model.sample_atom(rng, max_poly_degree=2)
+        b = model.sample_atom(rng, max_poly_degree=2)
+        pair = Element.single(Pair(Tensor((Gen(a),)), Sym((Tensor((Gen(b),)),))))
+        ctx = EnvelopeContext(model)
+        assert q_total(ctx, q_total(ctx, pair)).is_zero()
+        assert axiom_defect(model, AxiomId.D_DERIV_DIAMOND,
+                            [Element.single(a), Element.single(b)]).is_zero()
 
 
 def test_wedge_scale_mutation_breaks_zinbiel():

@@ -23,6 +23,7 @@ from pregerst.words import (
     parse_element,
     set_term_cap,
     shuffle_product,
+    shuffle_terms,
     sym_product,
     sym_word,
     word_to_text,
@@ -114,6 +115,20 @@ def test_shuffle_product_examples(reg):
     a, b, c = gens(reg, [("a", 1), ("b", 1), ("c", 1)])
     out = shuffle_product(Tensor((a, b)), Tensor((c,)), SHIFT1)
     assert len(out) == 3
+
+
+def test_shuffle_terms_on_an_empty_side(reg):
+    a, b, c = gens(reg, [("a", 2), ("b", 2), ("c", 1)])
+    # an empty side leaves the other unshuffled, as a list or a tuple
+    assert shuffle_terms((a, b), (), SHIFT1) == {(a, b): 1}
+    assert shuffle_terms([], [c], SHIFT1) == {(c,): 1}
+    # two empty sides give the empty tuple, the unit of the shuffle product
+    assert shuffle_terms((), (), SHIFT1) == {(): 1}
+    # otherwise the factor tuples and signs of shuffle_product's terms
+    terms = shuffle_terms((a,), (b, c), SHIFT1)
+    assert all(type(k) is tuple for k in terms)
+    sh = shuffle_product(Tensor((a,)), Tensor((b, c)), SHIFT1)
+    assert {w.factors: s for w, s in sh.items()} == terms
 
 
 def test_shuffle_graded_commutative_and_associative():

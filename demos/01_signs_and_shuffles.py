@@ -5,7 +5,7 @@ Run as:  python3 demos/01_signs_and_shuffles.py
 
 from pregerst import (
     BASE, SHIFT1, SHIFT2,
-    GeneratorRegistry, Permutation,
+    GeneratorRegistry, Permutation, degree,
     koszul_sign, shuffles, shuffles_k1m,
 )
 
@@ -14,7 +14,7 @@ print("deg(x) = |x| - 1 and deg'(x) = |x| - 2.\n")
 
 reg = GeneratorRegistry()
 x = reg.declare("x", 3)
-print("x with |x| = 3:", "deg =", x.degree_in(SHIFT1), " deg' =", x.degree_in(SHIFT2))
+print("x with |x| = 3:", "deg =", degree(x, SHIFT1), " deg' =", degree(x, SHIFT2))
 
 print("\nKoszul signs: swapping two odd symbols costs a minus.")
 print("  koszul_sign([1,1], swap)      =", koszul_sign([1, 1], Permutation((2, 1))))

@@ -154,11 +154,12 @@ def delta_leibniz(elem: Element, view: GradingView = SHIFT1) -> Element:
             raise SchemaError("delta_leibniz expects tensor words")
         factors = word.factors
         n = len(factors)
-        for k in range(1, n):
+        for k in range(1, n - 1):
             left = Tensor(factors[:k])
-            right = mu_word(Tensor(factors[k:]), view)
-            for w, c in right.items():
+            for w, c in mu_word(Tensor(factors[k:]), view).items():
                 out.add_term((left, w), coeff * c)
+        if n > 1:       # the last cut, where mu_1 is the identity
+            out.add_term((Tensor(factors[:-1]), Tensor(factors[-1:])), coeff)
     return out
 
 

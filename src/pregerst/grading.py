@@ -45,9 +45,6 @@ class Generator(NamedTuple):
     name: str
     degree: int
 
-    def degree_in(self, view: GradingView) -> int:
-        return self.degree - view
-
     def __repr__(self):
         return "Generator(%r, %d)" % (self.name, self.degree)
 
@@ -120,9 +117,6 @@ class Permutation:
         if len(inner) != len(self):
             raise ValueError("size mismatch in composition")
         return Permutation(self.images[j - 1] for j in inner.images)
-
-    def is_identity(self) -> bool:
-        return all(s == i for i, s in enumerate(self.images, start=1))
 
 
 def koszul_sign(degrees, perm: Permutation) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .cooperations import LawId, delta_perm, kappa, law_defect
 from .envelopes import (
@@ -98,17 +98,9 @@ class SuiteConfig:
         return out
 
     def as_dict(self):
-        return {
-            "suite": self.suite,
-            "model": self.model,
-            "n_coords": self.n_coords,
-            "max_poly_degree": self.max_poly_degree,
-            "max_tensor_len": self.max_tensor_len,
-            "max_tail_factors": self.max_tail_factors,
-            "samples": self.samples,
-            "seed": self.seed,
-            "term_cap": self.term_cap,
-        }
+        """Every field but report_format, which no report records."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "report_format"}
 
 
 @dataclass(slots=True)

@@ -57,10 +57,15 @@ second dict; any other word is placed into the first, and each dict checks
 the cap against both.  Only the terms that survive become Tensor words.
 The code tables, like the sign tables, hold operator data only and are
 lru_caches, so mutant clears them.
+
+Text.  word_to_text prints a word in the T(...), S(...), P(...; ...) grammar
+and is every word's repr.  element_to_text prints 'p/q * word' terms in
+canonical order, and parse_element reads them back (grammar in _Parser).
 """
 
 from __future__ import annotations
 
+import re
 import weakref
 from array import array
 from fractions import Fraction
@@ -68,7 +73,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import attrgetter, itemgetter
 
-from .errors import SchemaError, TermBudgetExceeded
+from .errors import ParseError, SchemaError, TermBudgetExceeded
 from .grading import (
     GradingView,
     Generator,
@@ -145,6 +150,9 @@ class Word:
 
     __slots__ = ("degrees", "key", "__weakref__")
 
+    def __repr__(self):
+        return word_to_text(self)
+
 
 class Gen(Word):
     __slots__ = ("gen",)
@@ -159,9 +167,6 @@ class Gen(Word):
         d = gen.degree
         word.degrees = (d, d - 1, d - 2)
         return _keep_gen(word, gen)
-
-    def __repr__(self):
-        return self.gen.name
 
 
 class Tensor(Word):
@@ -181,9 +186,6 @@ class Tensor(Word):
         word.degrees = (base, shift1, shift1 - 1)
         return _keep_tensor(word, factors)
 
-    def __repr__(self):
-        return "T(%s)" % ",".join(map(repr, self.factors))
-
 
 class Sym(Word):
     """Canonically sorted symmetric word.  Build through sym_word() or
@@ -201,9 +203,6 @@ class Sym(Word):
         word.factors = factors
         word.degrees = _sum_degrees(factors)
         return _keep_sym(word, factors)
-
-    def __repr__(self):
-        return "S(%s)" % ",".join(map(repr, self.factors))
 
 
 class Pair(Word):
@@ -224,9 +223,6 @@ class Pair(Word):
         word.tail = tail
         word.degrees = _sum_degrees(key)
         return _keep_pair(word, key)
-
-    def __repr__(self):
-        return "P(%r; %r)" % (self.head, self.tail)
 
 
 def sort_key(word: Word):
@@ -853,13 +849,13 @@ def require(elem: Element, predicate, what: str):
 # ---------------------------------------------------------------------------
 
 def word_to_text(word: Word) -> str:
+    """The word in the element grammar; also every word's repr."""
     if type(word) is Gen:
         return word.gen.name
-    if type(word) is Tensor:
-        return "T(%s)" % ",".join(word_to_text(f) for f in word.factors)
-    if type(word) is Sym:
-        return "S(%s)" % ",".join(word_to_text(f) for f in word.factors)
-    return "P(%s; %s)" % (word_to_text(word.head), word_to_text(word.tail))
+    if type(word) is Pair:
+        return "P(%s; %s)" % (word_to_text(word.head), word_to_text(word.tail))
+    tag = "T" if type(word) is Tensor else "S"
+    return "%s(%s)" % (tag, ",".join(map(word_to_text, word.factors)))
 
 
 def _legs_order(legs):
@@ -895,141 +891,102 @@ def element_to_text(elem: Element) -> str:
 # parsing
 # ---------------------------------------------------------------------------
 
+_SPACE = re.compile(r"[ \t\n]*")
+_DIGITS = re.compile(r"\d*")
+_NAME = re.compile(r"[\w.]*")
+
+
 class _Parser:
-    """Recursive-descent parser for the element grammar:
+    """Recursive-descent scanner for the element grammar:
 
-        element := term ('+' term)* | '0'
-        term    := rational '*' word
-        word    := NAME | 'T(' word (',' word)* ')'
-                        | 'S(' word (',' word)* ')' | 'S()'
-                        | 'P(' word ';' word ')'
+        element  := term ('+' term)* | '0'
+        term     := rational '*' word
+        rational := '-'? DIGITS ('/' DIGITS)?
+        word     := NAME | 'T(' word (',' word)* ')'
+                         | 'S(' word (',' word)* ')' | 'S()'
+                         | 'P(' word ';' word ')'
 
-    Rationals are 'p/q' (q > 0) or a bare integer.  Whitespace is free.
+    A NAME is a declared generator: a letter or '_', then letters, digits,
+    '_' or '.'.  p/q gives Fraction(p, q) and a bare integer an int.  Space,
+    tab and newline may stand between tokens, except after '-' or '/'.
     """
 
     def __init__(self, text: str, registry):
-        self.text = text
-        self.pos = 0
-        self.registry = registry
+        self.text, self.pos, self.registry = text, 0, registry
 
-    def error(self, message):
-        from .errors import ParseError
+    def peek(self) -> str:
+        """Skip whitespace; the next character, or '' at the end."""
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[self.pos:self.pos + 1]
 
-        raise ParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\n":
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
+    def take(self, ch) -> bool:
+        """Skip whitespace and consume ch if it comes next."""
+        if self.peek() != ch:
+            return False
+        self.pos += 1
+        return True
 
     def expect(self, ch):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.error("expected %r" % ch)
-        self.pos += 1
+        if not self.take(ch):
+            raise ParseError("expected %r" % ch, self.pos)
+
+    def digits(self, message) -> int:
+        """The digits right at pos, with no whitespace skipped."""
+        run = _DIGITS.match(self.text, self.pos).group()
+        if not run:
+            raise ParseError(message, self.pos)
+        self.pos += len(run)
+        return int(run)
 
     def parse_element(self) -> Element:
-        self.skip_ws()
-        if self.peek() == "0":
-            save = self.pos
-            self.pos += 1
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                return Element()
-            self.pos = save
         out = Element()
+        if self.peek() == "0" and not self.text[self.pos + 1:].strip(" \t\n"):
+            return out
         while True:
             coeff = self.parse_rational()
             self.expect("*")
-            word = self.parse_word()
-            out.add_term(word, coeff)
-            self.skip_ws()
-            if self.pos >= len(self.text):
+            out.add_term(self.parse_word(), coeff)
+            if not self.peek():
                 return out
             self.expect("+")
 
     def parse_rational(self):
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        if not (self.pos < len(self.text) and self.text[self.pos].isdigit()):
-            self.error("expected a rational coefficient")
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        num = int(self.text[start:self.pos])
-        if self.peek() == "/":
-            self.pos += 1
-            dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if dstart == self.pos:
-                self.error("expected a denominator")
-            den = int(self.text[dstart:self.pos])
-            if den == 0:
-                self.error("zero denominator")
-            return Fraction(num, den)
-        return num
+        sign = -1 if self.take("-") else 1
+        num = sign * self.digits("expected a rational coefficient")
+        if not self.take("/"):
+            return num
+        den = self.digits("expected a denominator")
+        if den == 0:
+            raise ParseError("zero denominator", self.pos)
+        return Fraction(num, den)
 
     def parse_word(self) -> Word:
-        self.skip_ws()
-        name = self.parse_name()
-        if name in ("T", "S", "P") and self.peek() == "(":
-            self.pos += 1
-            if name == "T":
-                parts = self.parse_word_list()
+        self.peek()
+        name = _NAME.match(self.text, self.pos).group()
+        if not (name[:1].isalpha() or name[:1] == "_"):
+            raise ParseError("expected a name", self.pos)
+        self.pos += len(name)
+        if name in ("T", "S", "P") and self.take("("):
+            if name == "P":
+                head = self.parse_word()
+                self.expect(";")
+                tail = self.parse_word()
                 self.expect(")")
-                return Tensor(parts)
-            if name == "S":
-                if self.peek() == ")":
-                    self.pos += 1
-                    return Sym(())
-                parts = self.parse_word_list()
-                self.expect(")")
-                return Sym(parts)
-            head = self.parse_word()
-            self.expect(";")
-            tail = self.parse_word()
+                if not isinstance(tail, Sym):
+                    raise ParseError("pair tail must be a symmetric word", self.pos)
+                return Pair(head, tail)
+            if name == "S" and self.take(")"):
+                return EMPTY_SYM
+            parts = [self.parse_word()]
+            while self.take(","):
+                parts.append(self.parse_word())
             self.expect(")")
-            if not isinstance(tail, Sym):
-                self.error("pair tail must be a symmetric word")
-            return Pair(head, tail)
-        return Gen(self.lookup(name))
-
-    def parse_word_list(self):
-        parts = [self.parse_word()]
-        while self.peek() == ",":
-            self.pos += 1
-            parts.append(self.parse_word())
-        return parts
-
-    def parse_name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        if not (self.pos < len(self.text) and (self.text[self.pos].isalpha() or self.text[self.pos] == "_")):
-            self.error("expected a name")
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] in "_."
-        ):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def lookup(self, name: str) -> Generator:
+            return Tensor(parts) if name == "T" else Sym(parts)
         try:
-            return self.registry.get(name)
+            return Gen(self.registry.get(name))
         except KeyError:
-            self.error("undeclared generator %r" % name)
+            raise ParseError("undeclared generator %r" % name, self.pos)
 
 
 def parse_element(text: str, registry) -> Element:
-    parser = _Parser(text, registry)
-    elem = parser.parse_element()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.error("trailing input")
-    return elem
+    return _Parser(text, registry).parse_element()

@@ -298,17 +298,70 @@ def test_serialization_is_canonical_and_reproducible(reg):
     assert element_to_text(e1) == element_to_text(e2) == "1/1 * T(a) + 1/1 * T(b)"
 
 
+PARSE_ERRORS = [
+    ("1/1 * T(a", 9, "expected ')'"),
+    ("1/1 * T(zz)", 10, "undeclared generator 'zz'"),
+    ("1/0 * T(a)", 3, "zero denominator"),
+    ("1/1 * T(a) trailing", 11, "expected '+'"),
+    ("x * T(a)", 0, "expected a rational coefficient"),
+    ("- 3 * T(a)", 1, "expected a rational coefficient"),
+    ("3 / 4 * T(a)", 3, "expected a denominator"),
+    ("1 * T()", 6, "expected a name"),
+    ("1 * P(T(a); T(a))", 17, "pair tail must be a symmetric word"),
+    ("1 * (a)", 4, "expected a name"),
+    ("", 0, "expected a rational coefficient"),
+]
+
+
 def test_parse_errors_carry_position(reg):
     gens(reg, [("a", 2)])
-    with pytest.raises(ParseError) as err:
-        parse_element("1/1 * T(a", reg)
-    assert err.value.position >= 0
-    with pytest.raises(ParseError):
-        parse_element("1/1 * T(zz)", reg)
-    with pytest.raises(ParseError):
-        parse_element("1/0 * T(a)", reg)
-    with pytest.raises(ParseError):
-        parse_element("1/1 * T(a) trailing", reg)
+    for text, position, message in PARSE_ERRORS:
+        with pytest.raises(ParseError) as err:
+            parse_element(text, reg)
+        assert err.value.position == position, text
+        assert str(err.value) == "%s (at position %d)" % (message, position)
+
+
+def test_parse_accepts_integers_whitespace_and_a_generator_named_t(reg):
+    a, t = gens(reg, [("a", 2), ("T", 1)])
+    assert parse_element("1 * T", reg) == Element.single(t)
+    elem = parse_element(" 4/2*T ( a )\n+\t-3 /6 * T(a,a) ", reg)
+    assert elem.terms == {Tensor((a,)): 2, Tensor((a, a)): Fraction(-1, 2)}
+    assert [type(c) for c in elem.terms.values()] == [Fraction, Fraction]
+    assert parse_element(" 0 ", reg).is_zero()
+
+
+def test_parse_inverts_element_text():
+    rng = random.Random(17)
+    reg = GeneratorRegistry()
+    atoms = [Gen(reg.declare(name, d)) for name, d in [("a", 1), ("b", 2), ("c_1", 3), ("d.x", 2)]]
+
+    def tensor():
+        return Tensor(rng.choice(atoms) for _ in range(rng.randint(1, 3)))
+
+    def sym():
+        return Sym(tensor() for _ in range(rng.randint(0, 3)))
+
+    def coeff():
+        if rng.random() < 0.5:
+            return rng.choice([-3, -1, 1, 2, 5])
+        return Fraction(rng.choice([-7, -1, 1, 3]), rng.choice([2, 3, 4]))
+
+    makers = [tensor, sym, lambda: Pair(rng.choice([tensor(), rng.choice(atoms)]), sym())]
+    for trial in range(600):
+        make = makers[trial % 3]
+        elem = Element()
+        for _ in range(rng.randint(0, 4)):
+            elem.add_term(make(), coeff())
+        assert parse_element(element_to_text(elem), reg) == elem
+
+
+def test_repr_is_word_text(reg):
+    a, b = gens(reg, [("a", 2), ("b", 1)])
+    t = Tensor((a, b))
+    for w in [a, t, Sym(()), Sym((t, Tensor((a,)))), Pair(t, Sym(())), Pair(a, Sym((t,)))]:
+        assert repr(w) == word_to_text(w)
+    assert repr(Pair(t, Sym((t,)))) == "P(T(a,b); S(T(a,b)))"
 
 
 def test_term_cap_enforced(reg):

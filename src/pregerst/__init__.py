@@ -31,7 +31,7 @@ from .envelopes import (
     r_map,
     zinfinity_d,
 )
-from .errors import ParseError, SchemaError, TermBudgetExceeded, UnsupportedModelError
+from .errors import ParseError, SchemaError, TermBudgetExceeded
 from .grading import (
     BASE,
     SHIFT1,

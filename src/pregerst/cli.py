@@ -16,10 +16,11 @@ import sys
 from functools import partial
 
 from .cooperations import cocrochet_lie, delta_cocom, delta_leibniz, delta_perm, kappa, kappa_prime
-from .errors import ParseError, SchemaError, TermBudgetExceeded, UnsupportedModelError
+from .errors import TermBudgetExceeded
 from .grading import BASE, SHIFT1, SHIFT2, GeneratorRegistry
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 from .words import (
+    _name_at,
     element_to_text,
     embed_element,
     mu,
@@ -118,7 +119,7 @@ def _cmd_verify(args) -> int:
         seed=args.seed, report_format=args.report, term_cap=args.term_cap)
     try:
         report = run_suite(config)
-    except (ValueError, UnsupportedModelError) as exc:
+    except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     if args.report == "structured":
@@ -130,8 +131,6 @@ def _cmd_verify(args) -> int:
 
 def _parse_gens(text):
     registry = GeneratorRegistry()
-    if not text.strip():
-        return registry
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -139,7 +138,10 @@ def _parse_gens(text):
         if ":" not in part:
             raise ValueError("generator declaration %r is not name:degree" % part)
         name, _, deg = part.partition(":")
-        registry.declare(name.strip(), int(deg))
+        name = name.strip()
+        if not name or _name_at(name, 0) != name:
+            raise ValueError("generator name %r is not a NAME of the element grammar" % name)
+        registry.declare(name, int(deg))
     return registry
 
 
@@ -155,8 +157,8 @@ def _cmd_eval(args) -> int:
         elems = [normalize(e, view) for e in (elem, elem2)[:count]]
         _emit(element_to_text(fn(*elems, view)), args.out)
         return 0
-    except (ParseError, SchemaError, ValueError, KeyError,
-            UnsupportedModelError, TermBudgetExceeded) as exc:
+    except (ValueError, KeyError, TermBudgetExceeded, RecursionError) as exc:
+        # the parser, normalize and the printer recurse per nesting level
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -1,7 +1,7 @@
 """Enveloping codifferentials and the pre-Lie extension of the diamond.
 
-Everything here is driven by a concrete model (wedge, diamond, optional d)
-through an EnvelopeContext.
+Everything here is driven by a model (wedge, diamond, optional d) through
+an EnvelopeContext: the forms model, or the free operations of FormalModel.
 
 One lift.  A coderivation of a cofree coalgebra is fixed by its
 corestriction, one map on a single factor and one on two (Loday-Vallette,
@@ -51,9 +51,9 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 
-from .errors import SchemaError, UnsupportedModelError
+from .errors import SchemaError
 from .grading import SHIFT1, SHIFT2
-from .models import AlgebraModel, FormalModel
+from .models import AlgebraModel
 from .words import (
     Element,
     Gen,
@@ -90,12 +90,6 @@ class EnvelopeContext:
     def cache_clear(cls):
         for ctx in list(cls._live):
             ctx.images.clear()
-
-    def require_algebra(self):
-        if isinstance(self.model, FormalModel):
-            raise UnsupportedModelError(
-                "this construction needs a model with wedge and diamond"
-            )
 
 
 def _splice(out: Element, prefix, atoms: Element, suffix, coeff):
@@ -157,7 +151,6 @@ def _zinfinity_d_word(ctx: EnvelopeContext, word: Tensor) -> Element:
 
 
 def zinfinity_d(ctx: EnvelopeContext, elem: Element) -> Element:
-    ctx.require_algebra()
     require(elem, is_tensor_of_gens, "tensor words over generators")
     return elem.map_words(lambda w: zinfinity_d_word(ctx, w))
 
@@ -205,7 +198,6 @@ def _r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
 
 def r2(ctx: EnvelopeContext, x, y) -> Element:
     """Bilinear extension of r2_words to elements."""
-    ctx.require_algebra()
     if isinstance(x, Tensor):
         x = Element.single(x)
     if isinstance(y, Tensor):
@@ -314,7 +306,6 @@ def _diamond_shifted(ctx: EnvelopeContext, a: Gen, b: Gen) -> Element:
 def prelie_envelope_q(ctx: EnvelopeContext, elem: Element) -> Element:
     """Enveloping codifferential on head-atom pair words: the lift of d and
     of the shifted diamond."""
-    ctx.require_algebra()
     require(elem, is_pair_over_gens, "pair words over generators")
     return _lift(ctx, elem, _d_atom, _diamond_shifted)
 
@@ -323,7 +314,6 @@ def l_infinity_q(ctx: EnvelopeContext, elem: Element) -> Element:
     """Enveloping codifferential on symmetric atom words for the bracket
     antisymmetrised from the diamond: the lift of d and of the shifted
     diamond, whose symmetrisation is (-1)^{deg' a} [a, b]."""
-    ctx.require_algebra()
     require(elem, lambda w: is_sym_of(w, lambda f: type(f) is Gen),
             "symmetric words over generators")
     return _lift(ctx, elem, _d_atom, _diamond_shifted)
@@ -335,7 +325,6 @@ def l_infinity_q(ctx: EnvelopeContext, elem: Element) -> Element:
 
 def m_map(ctx: EnvelopeContext, elem: Element) -> Element:
     """Lift of D: D at the head, plus head-signed D at every tail factor."""
-    ctx.require_algebra()
     require(elem, is_pair_over_tensors, "pair words over tensor words")
     return _lift(ctx, elem, zinfinity_d_word, None)
 
@@ -343,7 +332,6 @@ def m_map(ctx: EnvelopeContext, elem: Element) -> Element:
 def r_map(ctx: EnvelopeContext, elem: Element) -> Element:
     """Lift of the shifted r2: head paired against each tail factor, plus
     the symmetrised shifted r2 on pairs of tail factors."""
-    ctx.require_algebra()
     require(elem, is_pair_over_tensors, "pair words over tensor words")
     return _lift(ctx, elem, None, r2_shifted)
 
@@ -351,7 +339,6 @@ def r_map(ctx: EnvelopeContext, elem: Element) -> Element:
 def q_total(ctx: EnvelopeContext, elem: Element) -> Element:
     """Q = m + R, the candidate codifferential of both coproducts, in one
     pass of the lift."""
-    ctx.require_algebra()
     require(elem, is_pair_over_tensors, "pair words over tensor words")
     return _lift(ctx, elem, zinfinity_d_word, r2_shifted)
 

@@ -5,10 +5,6 @@ class SchemaError(ValueError):
     """A word or element does not belong to the space an operation expects."""
 
 
-class UnsupportedModelError(ValueError):
-    """The algebra model does not supply an operation the caller needs."""
-
-
 class ParseError(ValueError):
     """Element text failed to parse; carries the offending position."""
 

@@ -17,8 +17,10 @@ admit_differential checks, d(x^y) = dx^y + (-1)^{|x|} x^dy and, the diamond
 having degree -1, d(x<>y) = dx<>y + (-1)^{|x|-1} x<>dy; it is installed only
 when asked for (exterior_differential=True), so the suites run with d = 0.
 
-FormalModel: named abstract generators; any operation beyond degree
-bookkeeping is rejected.  It serves the model-independent coalgebra laws.
+FormalModel: the free operations, d = 0.  a^b and a<>b are each one fresh
+atom, '(a^b)' of degree |a|+|b| and '(a<>b)' of degree |a|+|b|-1, so a
+coderivation law that holds here holds for any operations, and axiom_defect
+returns the axiom's relation itself.
 
 axiom_defect evaluates one algebra axiom on a pair or triple of homogeneous
 elements and returns the exact defect.
@@ -30,8 +32,8 @@ import operator
 from enum import Enum
 from fractions import Fraction
 
-from .errors import SchemaError, UnsupportedModelError
-from .grading import BASE, Generator, GeneratorRegistry
+from .errors import SchemaError
+from .grading import BASE, Generator
 from .words import Element
 
 
@@ -44,18 +46,8 @@ def _element(a) -> Element:
 
 
 class AlgebraModel:
-    """Base interface; subclasses fill in atom-level operations."""
-
-    name = "abstract"
-
-    def __init__(self):
-        self.registry = GeneratorRegistry()
-
-    def wedge_atoms(self, a: Generator, b: Generator) -> Element:
-        raise UnsupportedModelError("%s model has no wedge" % self.name)
-
-    def diamond_atoms(self, a: Generator, b: Generator) -> Element:
-        raise UnsupportedModelError("%s model has no diamond" % self.name)
+    """Base interface; subclasses supply wedge_atoms(a, b) and
+    diamond_atoms(a, b), and may override the zero differential."""
 
     def differential_atom(self, a: Generator) -> Element:
         return Element()
@@ -98,12 +90,13 @@ class AlgebraModel:
 
 
 class FormalModel(AlgebraModel):
-    """Abstract generators with assigned base degrees; coproduct-only."""
+    """The free operations: each product of two atoms is one fresh atom."""
 
-    name = "formal"
+    def wedge_atoms(self, a: Generator, b: Generator) -> Element:
+        return Element.single(Generator("(%s^%s)" % (a.name, b.name), a.degree + b.degree))
 
-    def generator(self, name: str, degree: int) -> Generator:
-        return self.registry.declare(name, degree)
+    def diamond_atoms(self, a: Generator, b: Generator) -> Element:
+        return Element.single(Generator("(%s<>%s)" % (a.name, b.name), a.degree + b.degree - 1))
 
 
 class FormsModel(AlgebraModel):
@@ -115,10 +108,7 @@ class FormsModel(AlgebraModel):
     constant function 1.
     """
 
-    name = "forms"
-
     def __init__(self, n_coords: int, exterior_differential: bool = False):
-        super().__init__()
         if n_coords < 1:
             raise ValueError("need at least one coordinate")
         self.n_coords = n_coords
@@ -141,7 +131,7 @@ class FormsModel(AlgebraModel):
         if len(set(dxs)) != len(dxs):
             raise ValueError("repeated dx index: the form is zero, not a monomial")
         dxs = tuple(sorted(dxs))
-        gen = self.registry.declare(self._name(exps, dxs), len(dxs) + 1)
+        gen = Generator(self._name(exps, dxs), len(dxs) + 1)
         self._keys[gen] = (exps, dxs)
         return gen
 
@@ -322,8 +312,6 @@ def _sign(exp: int) -> int:
 
 def axiom_defect(model: AlgebraModel, axiom: AxiomId, args) -> Element:
     """Exact defect of one axiom on homogeneous elements; zero iff it holds."""
-    if isinstance(model, FormalModel):
-        raise UnsupportedModelError("algebra axioms need a concrete model")
     args = [_element(a) for a in args]
     if len(args) != AXIOM_ARITY[axiom]:
         raise ValueError("axiom %s takes %d arguments" % (axiom.value, AXIOM_ARITY[axiom]))

@@ -40,7 +40,7 @@ from .envelopes import (
     zinfinity_d,
 )
 from .errors import TermBudgetExceeded
-from .grading import SHIFT1, SHIFT2, GeneratorRegistry
+from .grading import SHIFT1, SHIFT2, Generator
 from .models import AxiomId, FormsModel, axiom_defect
 from .mutations import mutant
 from .words import (
@@ -271,13 +271,12 @@ def _rand_forms_pair(model, rng, max_head, max_tails, max_tlen, max_poly):
 
 def _x_word(base_degrees):
     """A tensor word of generators x0, x1, ... of these base degrees."""
-    reg = GeneratorRegistry()
-    return Tensor(tuple(Gen(reg.declare("x%d" % i, d)) for i, d in enumerate(base_degrees)))
+    return Tensor(tuple(Gen(Generator("x%d" % i, d)) for i, d in enumerate(base_degrees)))
 
 
 def _formal_atoms(rng, count, max_base=4):
-    reg = GeneratorRegistry()
-    return [Gen(reg.declare("g%d" % i, rng.randint(1, max_base))) for i in range(count)]
+    """Distinct generators g0, g1, ... of random base degrees."""
+    return [Gen(Generator("g%d" % i, rng.randint(1, max_base))) for i in range(count)]
 
 
 def _rand_formal_pair(rng, max_head, max_tails, max_tlen):
@@ -288,9 +287,8 @@ def _rand_formal_pair(rng, max_head, max_tails, max_tlen):
     it = iter(atoms)
     head = Tensor(tuple(next(it) for _ in range(lengths[0])))
     tails = [Tensor(tuple(next(it) for _ in range(L))) for L in lengths[1:]]
+    # distinct generators, so no two tail factors are equal and none vanishes
     sign, tail = sym_word(tails, SHIFT2)
-    if tail is None:
-        return None
     return Element.single(Pair(head, tail), sign)
 
 
@@ -300,8 +298,6 @@ def _rand_formal_sym_of_tensors(rng, max_factors, max_tlen):
     it = iter(atoms)
     facs = [Tensor(tuple(next(it) for _ in range(L))) for L in lengths]
     sign, w = sym_word(facs, SHIFT2)
-    if w is None:
-        return None
     return Element.single(w, sign)
 
 
@@ -331,11 +327,10 @@ def _build_mu_shuffle(config):
     bound = config.max_tensor_len
     for n in range(2, bound + 1):
         for pattern in itertools.product((0, 1, 2), repeat=n):
+            atoms = _x_word(d + 1 for d in pattern).factors
             for p in range(1, n):
-                reg = GeneratorRegistry()
-                atoms = [Gen(reg.declare("x%d" % i, d + 1)) for i, d in enumerate(pattern)]
-                left = Tensor(tuple(atoms[:p]))
-                right = Tensor(tuple(atoms[p:]))
+                left = Tensor(atoms[:p])
+                right = Tensor(atoms[p:])
                 text = "p=%d q=%d degs=%s" % (p, n - p, list(pattern))
 
                 def thunk(left=left, right=right, n=n):
@@ -355,17 +350,13 @@ def _build_leibniz(config):
 
 
 def _law_instances(config, law, draw, salt=None):
-    """Instances of the law on up to config.samples draws that do not vanish.
-    Attempt k draws from _rng(config, k, salt), the salt being the law's name
-    unless given, and at most 4 * config.samples attempts are made."""
+    """Instances of the law on config.samples draws; draw k is from
+    _rng(config, k, salt), the salt being the law's name unless given."""
     out = []
-    attempts = 0
-    while len(out) < config.samples and attempts < config.samples * 4:
-        elem = draw(_rng(config, attempts, salt or law.value))
-        attempts += 1
-        if elem is not None:
-            out.append(Instance(law.value, element_to_text(elem),
-                                lambda elem=elem: law_defect(law, elem)))
+    for i in range(config.samples):
+        elem = draw(_rng(config, i, salt or law.value))
+        out.append(Instance(law.value, element_to_text(elem),
+                            lambda elem=elem: law_defect(law, elem)))
     return out
 
 
@@ -557,8 +548,7 @@ def _build_mutation_sanity(config):
 
     # 10. unsigned embedding: the mixed compatibility law fails.
     def embed_run():
-        reg = GeneratorRegistry()
-        gens = [Gen(reg.declare("g%d" % i, d)) for i, d in enumerate((1, 2, 3, 4))]
+        gens = [Gen(Generator("g%d" % i, d)) for i, d in enumerate((1, 2, 3, 4))]
         sign, tail = sym_word([Tensor((gens[2],)), Tensor((gens[3],))], SHIFT2)
         e = Element.single(Pair(Tensor((gens[0], gens[1])), tail), sign)
         return law_defect(LawId.COMPAT_2, e)

@@ -896,6 +896,12 @@ _DIGITS = re.compile(r"\d*")
 _NAME = re.compile(r"[\w.]*")
 
 
+def _name_at(text: str, pos: int) -> str:
+    """The NAME that starts at pos, or '' where none does."""
+    name = _NAME.match(text, pos).group()
+    return name if name[:1].isalpha() or name[:1] == "_" else ""
+
+
 class _Parser:
     """Recursive-descent scanner for the element grammar:
 
@@ -962,8 +968,8 @@ class _Parser:
 
     def parse_word(self) -> Word:
         self.peek()
-        name = _NAME.match(self.text, self.pos).group()
-        if not (name[:1].isalpha() or name[:1] == "_"):
+        name = _name_at(self.text, self.pos)
+        if not name:
             raise ParseError("expected a name", self.pos)
         self.pos += len(name)
         if name in ("T", "S", "P") and self.take("("):

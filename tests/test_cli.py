@@ -193,3 +193,33 @@ def test_eval_embed_refuses_a_word_that_is_not_symmetric(expr, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_eval_refuses_a_nest_too_deep_for_the_parser(capsys):
+    # the parser, normalize and the printer recurse once per level
+    nest = lambda depth: "1/1 * " + "T(" * depth + "a" + ")" * depth
+    code, out, err = run_cli(
+        ["eval", "--op", "normalize", "--expr", nest(300), "--gens", "a:2"], capsys)
+    assert (code, out, err) == (0, nest(300) + "\n", "")
+    code, out, err = run_cli(
+        ["eval", "--op", "normalize", "--expr", nest(2000), "--gens", "a:2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["a b", "1x", "x-y", ""])
+def test_eval_refuses_a_generator_name_the_grammar_cannot_read(name, capsys):
+    code, out, err = run_cli(
+        ["eval", "--op", "normalize", "--expr", "1/1 * T(a)",
+         "--gens", "a:2,%s:2" % name], capsys)
+    assert (code, out) == (2, "")
+    assert err.strip() == (
+        "error: generator name %r is not a NAME of the element grammar" % name)
+
+
+@pytest.mark.parametrize("name", ["T", "_a", "x.y", "u1.du2"])
+def test_eval_accepts_every_generator_name_the_grammar_reads(name, capsys):
+    code, out, _ = run_cli(
+        ["eval", "--op", "normalize", "--expr", "1/1 * T(%s)" % name,
+         "--gens", "%s:2" % name], capsys)
+    assert (code, out) == (0, "1/1 * T(%s)\n" % name)

@@ -11,7 +11,7 @@ import pytest
 
 import pregerst
 from pregerst.envelopes import EnvelopeContext, q_total
-from pregerst.errors import SchemaError, UnsupportedModelError
+from pregerst.errors import SchemaError
 from pregerst.grading import BASE, Generator
 from pregerst.models import (
     AxiomId,
@@ -192,13 +192,18 @@ def test_wedge_scale_mutation_breaks_zinbiel():
             assert not axiom_defect(model, AxiomId.COMPAT_B, args)
 
 
-def test_formal_model_rejects_algebra_ops():
+def test_formal_model_has_free_operations():
     model = FormalModel()
-    g = model.generator("x", 2)
-    with pytest.raises(UnsupportedModelError):
-        model.wedge_atoms(g, g)
-    with pytest.raises(UnsupportedModelError):
-        axiom_defect(model, AxiomId.ZINBIEL, [{g: Fraction(1)}] * 3)
+    a, b, c = Generator("a", 1), Generator("b", 2), Generator("c", 1)
+    assert model.wedge_atoms(a, b) == Element.single(Generator("(a^b)", 3))
+    assert model.diamond_atoms(a, b) == Element.single(Generator("(a<>b)", 2))
+    assert model.wedge(model.wedge({a: 1}, {b: 1}), {c: 1}) == \
+        Element.single(Generator("((a^b)^c)", 4))
+    assert model.differential({a: 1}).is_zero() and not model.has_differential
+    # no relation holds, so the defect of an axiom is its relation
+    defect = axiom_defect(model, AxiomId.ZINBIEL, [{a: 1}, {b: 1}, {c: 1}])
+    assert element_to_text(defect) == (
+        "1/1 * ((a^b)^c) + -1/1 * (a^(b^c)) + -1/1 * (a^(c^b))")
 
 
 def test_axiom_argument_validation(m2):
@@ -254,9 +259,12 @@ PACKAGE_MODULES = sorted(Path(pregerst.__file__).parent.glob("*.py"))
 
 @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
 def test_module_compiles_with_warnings_as_errors(path):
+    source = path.read_text()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        compile(path.read_text(), str(path), "exec")
+        compile(source, str(path), "exec")
+    # pyproject.toml declares requires-python >= 3.10
+    ast.parse(source, str(path), feature_version=(3, 10))
 
 
 def _bound_names(tree, skip_imports):

@@ -31,10 +31,15 @@ products are materialised as pair-word elements via the embedding, so a
 coproduct on the pair-word space really lands in (that space) tensor (that
 space) and laws can be iterated.
 
-law_defect expands both sides of a law to elements keyed by triples (or
-pairs) of words and returns their difference, the exact defect: the law
-holds on the input when it is zero.  All voltes are Koszul-signed in the
-law's grading view.
+law_defect expands both sides of a law into one element keyed by triples
+(or pairs) of words, the exact defect: the law holds on the input when it is
+zero.  Each side, a coproduct at one leg of a first coproduct's result, is
+added with a scale and its voltes, Koszul-signed in the law's view.
+
+Each coproduct has a body on one word that reads the images it needs (a
+body's, an embedding, a sym_insert) through a table keyed by all they read:
+one per public call, or one per law_defect call, so each image is computed
+once per distinct argument in the whole law.
 
 delta_perm, kappa_prime_sym and kappa assume that the symmetric words they
 split are in canonical order: the parts of a canonical tail are canonical
@@ -57,6 +62,8 @@ from .words import (
     Pair,
     Sym,
     Tensor,
+    _add_signed,
+    _cosplit_into,
     canonical_term,
     degree,
     embed_sym_into_pair,
@@ -146,21 +153,53 @@ def _factor_cut_table(parities, s):
 # coproducts
 # ---------------------------------------------------------------------------
 
-def delta_leibniz(elem: Element, view: GradingView = SHIFT1) -> Element:
-    """Leibniz cocrochet on tensor words; single letters map to zero."""
+def _image(images, body, word, view, mu_legs):
+    """The terms of body(images, word, view, mu_legs), once per table, stored
+    only once complete; only kappa's and kappa_prime's bodies read mu_legs."""
+    key = (body, word, view, mu_legs)
+    image = images.get(key)
+    if image is None:
+        image = images[key] = body(images, word, view, mu_legs)
+    return image
+
+
+def _memo(images, fn, *args):
+    """fn(*args), once per table: an embedding, a sym_insert or a mu."""
+    key = (fn,) + args
+    found = images.get(key)
+    if found is None:
+        found = images[key] = fn(*args)
+    return found
+
+
+def _extend(images, body, elem: Element, view, mu_legs=False) -> Element:
+    """The linear extension of body over elem, reading images from the table."""
     out = Element()
     for word, coeff in elem.items():
-        if not isinstance(word, Tensor):
-            raise SchemaError("delta_leibniz expects tensor words")
-        factors = word.factors
-        n = len(factors)
-        for k in range(1, n - 1):
-            left = Tensor(factors[:k])
-            for w, c in mu_word(Tensor(factors[k:]), view).items():
-                out.add_term((left, w), coeff * c)
-        if n > 1:       # the last cut, where mu_1 is the identity
-            out.add_term((Tensor(factors[:-1]), Tensor(factors[-1:])), coeff)
+        image = _image(images, body, word, view, mu_legs)
+        if image:
+            _add_signed(out.terms, image, image.values(), coeff, 0)
     return out
+
+
+def _delta_leibniz_word(images, word, view, mu_legs):
+    if not isinstance(word, Tensor):
+        raise SchemaError("delta_leibniz expects tensor words")
+    out = Element()
+    factors = word.factors
+    n = len(factors)
+    for k in range(1, n - 1):
+        left = Tensor(factors[:k])
+        for w, c in _memo(images, mu_word, Tensor(factors[k:]), view).items():
+            out.add_term((left, w), c)
+    if n > 1:       # the last cut, where mu_1 is the identity
+        out.add_term((Tensor(factors[:-1]), Tensor(factors[-1:])), 1)
+    return out.terms
+
+
+def delta_leibniz(elem: Element, view: GradingView = SHIFT1) -> Element:
+    """Leibniz cocrochet on tensor words; single letters map to zero."""
+    return _extend({}, _delta_leibniz_word, elem, view)
 
 
 def delta_concat(elem: Element) -> Element:
@@ -182,21 +221,42 @@ def cocrochet_lie(elem: Element, view: GradingView = SHIFT1) -> Element:
     return d - d.volte(0, view)
 
 
+def _cocrochet_lie_word(images, word, view, mu_legs):
+    return cocrochet_lie(Element.single(word), view).terms
+
+
+def _delta_cocom_word(images, word, view, mu_legs):
+    if not isinstance(word, Sym):
+        raise SchemaError("delta_cocom expects symmetric words")
+    out = Element()
+    factors = word.factors
+    parities = tuple(f.degrees[view] & 1 for f in factors)
+    for left, right, sign in _split_table(parities, True, True):
+        out.add_term((Sym(tuple(map(factors.__getitem__, left))),
+                      Sym(tuple(map(factors.__getitem__, right)))), sign)
+    return out.terms
+
+
 def delta_cocom(elem: Element, view: GradingView) -> Element:
     """Cocommutative coproduct on symmetric words: signed proper splits."""
+    return _extend({}, _delta_cocom_word, elem, view)
+
+
+def _delta_perm_word(images, word, view, mu_legs):
+    if not isinstance(word, Pair):
+        raise SchemaError("delta_perm expects pair words")
     out = Element()
-    for word, coeff in elem.items():
-        if not isinstance(word, Sym):
-            raise SchemaError("delta_cocom expects symmetric words")
-        factors = word.factors
-        parities = tuple(f.degrees[view] & 1 for f in factors)
-        for left, right, sign in _split_table(parities, True, True):
-            out.add_term(
-                (Sym(tuple(factors[i] for i in left)),
-                 Sym(tuple(factors[j] for j in right))),
-                coeff * sign,
-            )
-    return out
+    word, coeff = canonical_term(word, 1, word.tail.factors, view)
+    if word is None:
+        return out.terms
+    factors = word.tail.factors
+    parities = tuple(f.degrees[view] & 1 for f in factors)
+    for left, right, sign in _split_table(parities, nonempty_second=True):
+        leg1 = Pair(word.head, Sym(tuple(map(factors.__getitem__, left))))
+        leg2_sym = Sym(tuple(map(factors.__getitem__, right)))
+        for w, c in _memo(images, embed_sym_into_pair, leg2_sym, view).terms.items():
+            out.add_term((leg1, w), coeff * sign * c)
+    return out.terms
 
 
 def delta_perm(elem: Element, view: GradingView = SHIFT2) -> Element:
@@ -206,21 +266,7 @@ def delta_perm(elem: Element, view: GradingView = SHIFT2) -> Element:
     second leg is the symmetric word J pushed through the embedding.  A pair
     with an empty tail maps to zero.
     """
-    out = Element()
-    for word, coeff in elem.items():
-        if not isinstance(word, Pair):
-            raise SchemaError("delta_perm expects pair words")
-        word, coeff = canonical_term(word, coeff, word.tail.factors, view)
-        if word is None:
-            continue
-        factors = word.tail.factors
-        parities = tuple(f.degrees[view] & 1 for f in factors)
-        for left, right, sign in _split_table(parities, nonempty_second=True):
-            leg1 = Pair(word.head, Sym(tuple(factors[i] for i in left)))
-            leg2_sym = Sym(tuple(factors[j] for j in right))
-            for w, c in embed_sym_into_pair(leg2_sym, view).items():
-                out.add_term((leg1, w), coeff * sign * c)
-    return out
+    return _extend({}, _delta_perm_word, elem, view)
 
 
 def _cuts(word: Tensor):
@@ -230,10 +276,50 @@ def _cuts(word: Tensor):
         yield Tensor(factors[:cut]), Tensor(factors[cut:])
 
 
-def _cut_leg(vpart: Tensor, mu_legs: bool) -> Element:
+def _cut_leg(vpart: Tensor, mu_legs: bool):
     if mu_legs:
-        return mu_word(vpart, SHIFT1)
-    return Element.single(vpart)
+        return mu_word(vpart, SHIFT1).terms
+    return {vpart: 1}
+
+
+def _kappa_prime_sym_word(images, word, view, mu_legs):
+    if not (isinstance(word, Sym) and all(isinstance(f, Tensor) for f in word.factors)):
+        raise SchemaError("kappa_prime expects symmetric words of tensor factors")
+    out = Element()
+    word, coeff = canonical_term(word, 1, word.factors, view)
+    if word is None:
+        return out.terms
+    factors = word.factors
+    parities = tuple(f.degrees[view] & 1 for f in factors)
+    for s in range(len(factors)):
+        if len(factors[s].factors) < 2:
+            continue
+        prefix = -1 if sum(parities[:s]) & 1 else 1
+        for upart, vpart in _cuts(factors[s]):
+            up = upart.degrees[view] & 1
+            cut_sign = -1 if up else 1
+            mu_v = _cut_leg(vpart, mu_legs).items()
+            # parities with X_s replaced by the two halves
+            ext = parities[:s] + (up, vpart.degrees[view] & 1) + parities[s + 1:]
+            for idx_left, idx_right, sign_uv, sign_vu in _factor_cut_table(ext, s):
+                left_words = tuple(map(factors.__getitem__, idx_left))
+                right_words = tuple(map(factors.__getitem__, idx_right))
+                base = coeff * prefix * cut_sign
+                # (X_I . U) (x) (mu V . X_J)
+                sa, lega = _memo(images, sym_insert, upart, left_words, view, False)
+                if lega is not None:
+                    for w, c in mu_v:
+                        sb, legb = _memo(images, sym_insert, w, right_words, view, True)
+                        if legb is not None:
+                            out.add_term((lega, legb), base * sign_uv * sa * sb * c)
+                # (X_I . mu V) (x) (U . X_J)
+                sb, legb = _memo(images, sym_insert, upart, right_words, view, True)
+                if legb is not None:
+                    for w, c in mu_v:
+                        sa, lega = _memo(images, sym_insert, w, left_words, view, False)
+                        if lega is not None:
+                            out.add_term((lega, legb), base * sign_vu * sa * sb * c)
+    return out.terms
 
 
 def kappa_prime_sym(elem: Element, view: GradingView = SHIFT2,
@@ -246,56 +332,66 @@ def kappa_prime_sym(elem: Element, view: GradingView = SHIFT2,
     position prefix (-1)^{sum of deg' before s} and a cut sign (-1)^{deg' U}.
     Factors of tensor length one contribute nothing.
     """
-    out = Element()
-    for word, coeff in elem.items():
-        if not (isinstance(word, Sym) and all(isinstance(f, Tensor) for f in word.factors)):
-            raise SchemaError("kappa_prime expects symmetric words of tensor factors")
-        word, coeff = canonical_term(word, coeff, word.factors, view)
-        if word is None:
-            continue
-        factors = word.factors
-        parities = tuple(f.degrees[view] & 1 for f in factors)
-        for s in range(len(factors)):
-            if len(factors[s].factors) < 2:
-                continue
-            prefix = -1 if sum(parities[:s]) & 1 else 1
-            for upart, vpart in _cuts(factors[s]):
-                up = upart.degrees[view] & 1
-                cut_sign = -1 if up else 1
-                mu_v = _cut_leg(vpart, mu_legs)
-                # parities with X_s replaced by the two halves
-                ext = parities[:s] + (up, vpart.degrees[view] & 1) + parities[s + 1:]
-                for idx_left, idx_right, sign_uv, sign_vu in _factor_cut_table(ext, s):
-                    left_words = tuple(factors[i] for i in idx_left)
-                    right_words = tuple(factors[j] for j in idx_right)
-                    base = coeff * prefix * cut_sign
-                    # (X_I . U) (x) (mu V . X_J)
-                    sa, lega = sym_insert(upart, left_words, view, False)
-                    if lega is not None:
-                        for w, c in mu_v.items():
-                            sb, legb = sym_insert(w, right_words, view, True)
-                            if legb is not None:
-                                out.add_term((lega, legb), base * sign_uv * sa * sb * c)
-                    # (X_I . mu V) (x) (U . X_J)
-                    sb, legb = sym_insert(upart, right_words, view, True)
-                    if legb is not None:
-                        for w, c in mu_v.items():
-                            sa, lega = sym_insert(w, left_words, view, False)
-                            if lega is not None:
-                                out.add_term((lega, legb), base * sign_vu * sa * sb * c)
-    return out
+    return _extend({}, _kappa_prime_sym_word, elem, view, mu_legs)
 
 
 def kappa_prime(elem: Element, view: GradingView = SHIFT2,
                 mu_legs: bool = False) -> Element:
     """kappa_prime with both legs materialised as pair-word elements."""
-    raw = kappa_prime_sym(elem, view, mu_legs)
+    images = {}
     out = Element()
-    for (lega, legb), coeff in raw.items():
-        for wa, ca in embed_sym_into_pair(lega, view).items():
-            for wb, cb in embed_sym_into_pair(legb, view).items():
+    for (lega, legb), coeff in _extend(images, _kappa_prime_sym_word, elem, view, mu_legs).items():
+        for wa, ca in _memo(images, embed_sym_into_pair, lega, view).terms.items():
+            for wb, cb in _memo(images, embed_sym_into_pair, legb, view).terms.items():
                 out.add_term((wa, wb), coeff * ca * cb)
     return out
+
+
+def _kappa_word(images, word, view, mu_legs):
+    if not isinstance(word, Pair) or not isinstance(word.head, Tensor):
+        raise SchemaError("kappa expects pair words with tensor heads")
+    out = Element()
+    word, coeff = canonical_term(word, 1, word.tail.factors, view)
+    if word is None:
+        return out.terms
+    head = word.head
+    tail = word.tail.factors
+    tparities = tuple(f.degrees[view] & 1 for f in tail)
+    for upart, vpart in _cuts(head):
+        up = upart.degrees[view] & 1
+        cut_sign = -1 if up else 1
+        mu_v = _cut_leg(vpart, mu_legs).items()
+        ext = (up, vpart.degrees[view] & 1) + tparities
+        for left, right, sign_uv, sign_vu in _head_cut_table(ext):
+            # sub-tails of a canonical tail are canonical
+            left_words = tuple(map(tail.__getitem__, left))
+            right_words = tuple(map(tail.__getitem__, right))
+            base = coeff * cut_sign
+            # (U (x) tail_I) (x) embed(mu V . tail_J)
+            leg1 = Pair(upart, Sym(left_words))
+            for w, c in mu_v:
+                sb, prod = _memo(images, sym_insert, w, right_words, view, True)
+                if prod is None:
+                    continue
+                for pw, pc in _memo(images, embed_sym_into_pair, prod, view).terms.items():
+                    out.add_term((leg1, pw), base * sign_uv * sb * c * pc)
+            # (mu V (x) tail_J) (x) embed(U . tail_I)
+            tail_j = Sym(right_words)
+            sa, prod = _memo(images, sym_insert, upart, left_words, view, True)
+            if prod is not None:
+                emb = _memo(images, embed_sym_into_pair, prod, view).terms.items()
+                for w, c in mu_v:
+                    leg1 = Pair(w, tail_j)
+                    for pw, pc in emb:
+                        out.add_term((leg1, pw), base * sign_vu * sa * c * pc)
+    if tail:
+        tail_sign = -1 if degree(head, view) & 1 else 1
+        inner = _image(images, _kappa_prime_sym_word, word.tail, view, mu_legs)
+        for (lega, legb), c in inner.items():
+            leg1 = Pair(head, lega)
+            for pw, pc in _memo(images, embed_sym_into_pair, legb, view).terms.items():
+                out.add_term((leg1, pw), coeff * tail_sign * c * pc)
+    return out.terms
 
 
 def kappa(elem: Element, view: GradingView = SHIFT2,
@@ -306,115 +402,51 @@ def kappa(elem: Element, view: GradingView = SHIFT2,
     taken in both orders, plus the tail term head (x) kappa_prime(tail).
     A single-generator head with empty tail maps to zero.
     """
-    out = Element()
-    for word, coeff in elem.items():
-        if not isinstance(word, Pair) or not isinstance(word.head, Tensor):
-            raise SchemaError("kappa expects pair words with tensor heads")
-        word, coeff = canonical_term(word, coeff, word.tail.factors, view)
-        if word is None:
-            continue
-        head = word.head
-        tail = word.tail.factors
-        tparities = tuple(f.degrees[view] & 1 for f in tail)
-        for upart, vpart in _cuts(head):
-            up = upart.degrees[view] & 1
-            cut_sign = -1 if up else 1
-            mu_v = _cut_leg(vpart, mu_legs)
-            ext = (up, vpart.degrees[view] & 1) + tparities
-            for left, right, sign_uv, sign_vu in _head_cut_table(ext):
-                # sub-tails of a canonical tail are canonical
-                left_words = tuple(tail[i] for i in left)
-                right_words = tuple(tail[j] for j in right)
-                base = coeff * cut_sign
-                # (U (x) tail_I) (x) embed(mu V . tail_J)
-                leg1 = Pair(upart, Sym(left_words))
-                for w, c in mu_v.items():
-                    sb, prod = sym_insert(w, right_words, view, True)
-                    if prod is None:
-                        continue
-                    for pw, pc in embed_sym_into_pair(prod, view).items():
-                        out.add_term((leg1, pw), base * sign_uv * sb * c * pc)
-                # (mu V (x) tail_J) (x) embed(U . tail_I)
-                tail_j = Sym(right_words)
-                sa, prod = sym_insert(upart, left_words, view, True)
-                if prod is not None:
-                    emb = list(embed_sym_into_pair(prod, view).items())
-                    for w, c in mu_v.items():
-                        leg1 = Pair(w, tail_j)
-                        for pw, pc in emb:
-                            out.add_term((leg1, pw), base * sign_vu * sa * c * pc)
-        if tail:
-            x0p = degree(head, view)
-            tail_sign = -1 if x0p & 1 else 1
-            inner = kappa_prime_sym(Element.single(word.tail), view, mu_legs)
-            for (lega, legb), c in inner.items():
-                leg1 = Pair(head, lega)
-                for pw, pc in embed_sym_into_pair(legb, view).items():
-                    out.add_term((leg1, pw), coeff * tail_sign * c * pc)
-    return out
+    return _extend({}, _kappa_word, elem, view, mu_legs)
 
 
 # ---------------------------------------------------------------------------
 # law checking
 # ---------------------------------------------------------------------------
 
-def _as_word_coproduct(cop, view):
-    return lambda w: cop(Element.single(w), view)
-
-
 def _law_defect(law: LawId, elem: Element, view: GradingView) -> Element:
-    if law is LawId.COASSOC:
-        d = delta_cocom(elem, view)
-        cop = _as_word_coproduct(delta_cocom, view)
-        return d.cosplit_leg(0, cop, 0, view) - d.cosplit_leg(1, cop, 0, view)
     if law is LawId.COCOMM:
         d = delta_cocom(elem, view)
         return d.volte(0, view) - d
-    if law is LawId.LEIBNIZ_COALG:
-        d = delta_leibniz(elem, view)
-        cop = _as_word_coproduct(delta_leibniz, view)
-        lhs = d.cosplit_leg(1, cop, 0, view)
-        rhs = d.cosplit_leg(0, cop, 0, view)
-        return lhs - rhs + rhs.volte(1, view)
-    if law is LawId.PERM_COALG:
-        d = delta_perm(elem, view)
-        cop = _as_word_coproduct(delta_perm, view)
-        a = d.cosplit_leg(1, cop, 0, view)
-        return a - a.volte(1, view)
-    if law is LawId.COJACOBI_DELTA:
-        d = cocrochet_lie(elem, view)
-        cop = _as_word_coproduct(cocrochet_lie, view)
-        b = d.cosplit_leg(0, cop, 0, view)
-        return b + b.volte(1, view).volte(0, view) + b.volte(0, view).volte(1, view)
     if law is LawId.KAPPA_COSYM:
         k = kappa_prime(elem, view)
         return k.volte(0, view) - k
-    if law is LawId.KAPPA_COJACOBI:
-        k = kappa(elem, view)
-        cop = _as_word_coproduct(kappa, view)
-        lhs = -k.cosplit_leg(1, cop, 1, view)
-        rhs = k.cosplit_leg(0, cop, 1, view)
-        return lhs - rhs - rhs.volte(1, view)
-    delta_cop = _as_word_coproduct(delta_perm, view)
-    kappa_cop = _as_word_coproduct(kappa, view)
-    if law is LawId.COMPAT_1:
-        d = delta_perm(elem, view)
-        a = d.cosplit_leg(1, kappa_cop, 1, view)
-        return a - a.volte(1, view)
-    if law is LawId.COMPAT_2:
-        k = kappa(elem, view)
-        d = delta_perm(elem, view)
-        lhs = k.cosplit_leg(1, delta_cop, 0, view)
-        b = d.cosplit_leg(0, kappa_cop, 1, view)
-        return lhs - b - b.volte(1, view)
-    if law is LawId.COMPAT_3:
-        k = kappa(elem, view)
-        d = delta_perm(elem, view)
-        lhs = k.cosplit_leg(0, delta_cop, 0, view)
-        a = d.cosplit_leg(1, kappa_cop, 1, view)
-        b = d.cosplit_leg(0, kappa_cop, 1, view)
-        return lhs - a - b.volte(1, view)
-    raise ValueError("unknown law %r" % law)
+    # a side (first, leg, body, its degree, outs) is body's coproduct at leg
+    # of first's, added once for each (scale, voltes) of outs
+    delta, kap = _delta_perm_word, _kappa_word
+    if law is LawId.COASSOC:
+        sides = [(_delta_cocom_word, 0, _delta_cocom_word, 0, ((1, ()),)),
+                 (_delta_cocom_word, 1, _delta_cocom_word, 0, ((-1, ()),))]
+    elif law is LawId.LEIBNIZ_COALG:
+        sides = [(_delta_leibniz_word, 1, _delta_leibniz_word, 0, ((1, ()),)),
+                 (_delta_leibniz_word, 0, _delta_leibniz_word, 0, ((-1, ()), (1, (1,))))]
+    elif law is LawId.PERM_COALG:
+        sides = [(delta, 1, delta, 0, ((1, ()), (-1, (1,))))]
+    elif law is LawId.COJACOBI_DELTA:
+        sides = [(_cocrochet_lie_word, 0, _cocrochet_lie_word, 0,
+                  ((1, ()), (1, (1, 0)), (1, (0, 1))))]
+    elif law is LawId.KAPPA_COJACOBI:
+        sides = [(kap, 1, kap, 1, ((-1, ()),)), (kap, 0, kap, 1, ((-1, ()), (-1, (1,))))]
+    elif law is LawId.COMPAT_1:
+        sides = [(delta, 1, kap, 1, ((1, ()), (-1, (1,))))]
+    elif law is LawId.COMPAT_2:
+        sides = [(kap, 1, delta, 0, ((1, ()),)), (delta, 0, kap, 1, ((-1, ()), (-1, (1,))))]
+    elif law is LawId.COMPAT_3:
+        sides = [(kap, 0, delta, 0, ((1, ()),)), (delta, 1, kap, 1, ((-1, ()),)),
+                 (delta, 0, kap, 1, ((-1, (1,)),))]
+    else:
+        raise ValueError("unknown law %r" % law)
+    images = {}     # (body, word, view, mu_legs) -> image terms, for this evaluation only
+    out = Element()     # both sides are added into its one signed sum
+    for first, leg, body, cop_degree, outs in sides:
+        _cosplit_into(out.terms, _extend(images, first, elem, view).terms, leg,
+                      lambda w: _image(images, body, w, view, False), cop_degree, view, outs)
+    return out
 
 
 _LAW_DEFAULT_VIEW = {

@@ -51,10 +51,10 @@ PATCHES = {
     "m_tail_sign_drop": Patch("envelopes", "_lift", "tail_coeff = coeff * head_sign * eps[j]",
                               "tail_coeff = coeff * eps[j]"),
     # the Leibniz cocrochet on pair words drops the (-1)^{deg' of left cut} prefactor.
-    "kappa_head_sign_drop": Patch("cooperations", "kappa",
+    "kappa_head_sign_drop": Patch("cooperations", "_kappa_word",
                                   "cut_sign = -1 if up else 1", "cut_sign = 1"),
     # the symmetric cocrochet drops its position prefix sign (-1)^{sum of earlier deg'}.
-    "kappa_prime_prefix_drop": Patch("cooperations", "kappa_prime_sym",
+    "kappa_prime_prefix_drop": Patch("cooperations", "_kappa_prime_sym_word",
                                      "prefix = -1 if sum(parities[:s]) & 1 else 1", "prefix = 1"),
     # the Zinbiel envelope's binary part drops the (-1)^{deg} twist.
     "zinf_q2_sign_drop": Patch("envelopes", "_q2_wedge", "return -product", "return product"),

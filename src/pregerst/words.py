@@ -471,20 +471,15 @@ class Element:
         """Apply the coproduct cop (Word -> Element over pairs of words) to one
         leg, one more leg per key, with the same passing-sign convention.
         cop runs once per distinct leg word in this call."""
-        out = Element()
-        add = out.add_term
         images = {}      # leg word -> terms of its image, for this call only
-        for legs, c in self.terms.items():
-            _require_legs(legs, leg + 1)
-            if cop_degree & 1 and sum(degree(w, view) for w in legs[:leg]) & 1:
-                c = -c
-            before, after = legs[:leg], legs[leg + 1:]
-            w = legs[leg]
-            image = images.get(w)
-            if image is None:
-                image = images[w] = cop(w).terms
-            for split, c2 in image.items():
-                add(before + split + after, c * c2)
+
+        def image(w):
+            found = images.get(w)
+            if found is None:
+                found = images[w] = cop(w).terms
+            return found
+        out = Element()
+        _cosplit_into(out.terms, self.terms, leg, image, cop_degree, view, ((1, ()),))
         return out
 
     def volte(self, leg: int, view: GradingView) -> "Element":
@@ -497,6 +492,39 @@ class Element:
                 c = -c
             out.add_term(legs[:leg] + (b, a) + legs[leg + 2:], c)
         return out
+
+
+def _cosplit_into(acc: dict, terms: dict, leg: int, image, cop_degree: int,
+                  view: GradingView, outs):
+    """The one leg-expansion loop: for each key of terms, each split of
+    image(its leg word) replaces that leg, signed for carrying a map of
+    degree cop_degree past the earlier legs, and goes into the signed sum
+    acc once for each (scale, voltes) of outs, times scale and with each
+    volte v, the graded swap of word legs (v, v + 1), applied in turn.
+    Zeros and the term cap are handled as in _add_signed."""
+    get = acc.get
+    for legs, c in terms.items():
+        _require_legs(legs, leg + 1)
+        if cop_degree & 1 and sum(degree(w, view) for w in legs[:leg]) & 1:
+            c = -c
+        before, after = legs[:leg], legs[leg + 1:]
+        split_terms = image(legs[leg]).items()
+        for scale, voltes in outs:
+            c1 = c * scale
+            for split, c2 in split_terms:
+                key, c2 = before + split + after, c1 * c2
+                for v in voltes:
+                    a, b = key[v], key[v + 1]
+                    if a.degrees[view] & 1 and b.degrees[view] & 1:
+                        c2 = -c2
+                    key = key[:v] + (b, a) + key[v + 2:]
+                c2 += get(key, 0)
+                if c2:
+                    acc[key] = c2
+                    if len(acc) > _TERM_CAP:
+                        raise TermBudgetExceeded(len(acc), _TERM_CAP)
+                else:
+                    del acc[key]
 
 
 def _key_kind(key):

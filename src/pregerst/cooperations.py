@@ -36,10 +36,11 @@ law_defect expands both sides of a law into one element keyed by triples
 zero.  Each side, a coproduct at one leg of a first coproduct's result, is
 added with a scale and its voltes, Koszul-signed in the law's view.
 
-Each coproduct has a body on one word that reads the images it needs (a
-body's, an embedding, a sym_insert) through a table keyed by all they read:
-one per public call, or one per law_defect call, so each image is computed
-once per distinct argument in the whole law.
+Each coproduct has a body on one word that reads the images it needs
+through a table keyed by all they read: a body's through _image, an
+embedding, a sym_insert or a mu through words._memo.  There is one table per
+public call, or one per law_defect call, so each image is computed once per
+distinct argument in the whole law.
 
 delta_perm, kappa_prime_sym and kappa assume that the symmetric words they
 split are in canonical order: the parts of a canonical tail are canonical
@@ -64,6 +65,7 @@ from .words import (
     Tensor,
     _add_signed,
     _cosplit_into,
+    _memo,
     canonical_term,
     degree,
     embed_sym_into_pair,
@@ -161,15 +163,6 @@ def _image(images, body, word, view, mu_legs):
     if image is None:
         image = images[key] = body(images, word, view, mu_legs)
     return image
-
-
-def _memo(images, fn, *args):
-    """fn(*args), once per table: an embedding, a sym_insert or a mu."""
-    key = (fn,) + args
-    found = images.get(key)
-    if found is None:
-        found = images[key] = fn(*args)
-    return found
 
 
 def _extend(images, body, elem: Element, view, mu_legs=False) -> Element:

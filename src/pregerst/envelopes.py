@@ -11,7 +11,7 @@ words (head; tail) and on symmetric words (tail only), with deg' signs:
 signed by the head, sorted back in; (3) binary(head, t_j) as the new head;
 (4) binary(t_i, t_j) + (-1)^{deg' t_i deg' t_j} binary(t_j, t_i) over
 i < j, signed by the head, sorted into the rest of the tail.  m_map is the
-lift of D, r_map of r2_shifted, q_total = m + R of both in one pass, and
+lift of D, r_map of the shifted r2, q_total = m + R of both in one pass, and
 prelie_envelope_q and l_infinity_q (pair and symmetric words over atoms)
 of d and the shifted diamond (-1)^{deg' a} a<>b, whose symmetrisation is
 (-1)^{deg' a} [a, b].
@@ -31,13 +31,15 @@ operation is the multilinear extension of its atom-level formula.  Every
 checker returns its defect as an Element; turning it into a verdict and
 text is left to the caller (suites.run_suite).
 
-Images.  r2_words and zinfinity_d_word keep each image they compute in the
-context's images dict and return a copy of it, so every map built on them
-(r2, D, m, R, Q) computes the image of a given word or pair of words once per
-context.  An image is stored only when its computation completes, so a term
-cap abort stores nothing.  The suites build one context per instance, so no
-image outlives its instance; EnvelopeContext.cache_clear(), which mutant
-calls on entry and exit, empties the images of every live context.
+Images.  The images of D on a tensor word and of r2 on a pair of them are
+kept in the context's images dict through words._memo, keyed by (body, model,
+arguments), and read, never copied or changed, by every map built on them (r2,
+D, m, R, Q): each is computed once per context.  A key holds the model, never
+the context, so a context is freed as soon as its last reference goes.  An
+image is stored only when its computation completes, so a term cap abort
+stores nothing.  The suites build one context per instance, so no image
+outlives its instance; EnvelopeContext.cache_clear(), which mutant calls on
+entry and exit, empties the images of every live context.
 
 Canonical tails.  _lift checks once per input word that its symmetric
 factors are in canonical order and normalizes it if not.  A sub-tail of a
@@ -60,6 +62,8 @@ from .words import (
     Pair,
     Sym,
     Tensor,
+    _cosplit_into,
+    _memo,
     canonical_term,
     degree,
     is_pair_over_gens,
@@ -74,10 +78,9 @@ from .words import (
 
 @dataclass(frozen=True, eq=False)
 class EnvelopeContext:
-    """A model and the images of r2_words and zinfinity_d_word computed over
-    it so far, keyed by (x, y) and by the word.  Contexts compare by
-    identity; EnvelopeContext.cache_clear() empties the images of every live
-    one."""
+    """A model and the images of D and r2 computed over it so far, keyed by
+    (body, model, arguments).  Contexts compare by identity;
+    EnvelopeContext.cache_clear() empties the images of every live one."""
 
     model: AlgebraModel
     images: dict = field(init=False, default_factory=dict, repr=False)
@@ -102,30 +105,20 @@ def _splice(out: Element, prefix, atoms: Element, suffix, coeff):
 # the Zinbiel envelope codifferential D on tensor words
 # ---------------------------------------------------------------------------
 
-def _q2_wedge(ctx: EnvelopeContext, a: Gen, b: Gen) -> Element:
+def _q2_wedge(model: AlgebraModel, a: Gen, b: Gen) -> Element:
     """Binary part (-1)^{deg a} a wedge b."""
-    product = ctx.model.wedge_atoms(a.gen, b.gen)
+    product = model.wedge_atoms(a.gen, b.gen)
     if degree(a, SHIFT1) & 1:
         return -product
     return product
 
 
-def _image(ctx: EnvelopeContext, key, body, *args) -> Element:
-    """A copy of ctx's image under key, computed by body(ctx, *args) and
-    stored the first time it is asked for; an aborted body stores nothing."""
-    images = ctx.images
-    image = images.get(key)
-    if image is None:
-        image = images[key] = body(ctx, *args)
-    return image.copy()
+def _d_image(ctx: EnvelopeContext, word: Tensor) -> Element:
+    """D on one tensor word: ctx's stored image, to be read only."""
+    return _memo(ctx.images, _zinfinity_d_word, ctx.model, word)
 
 
-def zinfinity_d_word(ctx: EnvelopeContext, word: Tensor) -> Element:
-    return _image(ctx, word, _zinfinity_d_word, word)
-
-
-def _zinfinity_d_word(ctx: EnvelopeContext, word: Tensor) -> Element:
-    model = ctx.model
+def _zinfinity_d_word(model: AlgebraModel, word: Tensor) -> Element:
     factors = word.factors
     n = len(factors)
     degs = [degree(f, SHIFT1) for f in factors]
@@ -138,12 +131,12 @@ def _zinfinity_d_word(ctx: EnvelopeContext, word: Tensor) -> Element:
                     factors[k + 1:], pref)
     # binary part at the head
     if n >= 2:
-        _splice(out, (), _q2_wedge(ctx, factors[0], factors[1]), factors[2:], 1)
+        _splice(out, (), _q2_wedge(model, factors[0], factors[1]), factors[2:], 1)
     # binary part through mu_2 at interior adjacent slots
     for k in range(1, n - 1):
         pref = -1 if sum(degs[:k]) & 1 else 1
-        direct = _q2_wedge(ctx, factors[k], factors[k + 1])
-        swapped = _q2_wedge(ctx, factors[k + 1], factors[k])
+        direct = _q2_wedge(model, factors[k], factors[k + 1])
+        swapped = _q2_wedge(model, factors[k + 1], factors[k])
         tau = -1 if (degs[k] & 1 and degs[k + 1] & 1) else 1
         _splice(out, factors[:k], direct, factors[k + 2:], pref)
         _splice(out, factors[:k], swapped, factors[k + 2:], -pref * tau)
@@ -152,28 +145,28 @@ def _zinfinity_d_word(ctx: EnvelopeContext, word: Tensor) -> Element:
 
 def zinfinity_d(ctx: EnvelopeContext, elem: Element) -> Element:
     require(elem, is_tensor_of_gens, "tensor words over generators")
-    return elem.map_words(lambda w: zinfinity_d_word(ctx, w))
+    return elem.map_words(lambda w: _d_image(ctx, w))
 
 
 # ---------------------------------------------------------------------------
 # the pre-Lie extension r2 on tensor words
 # ---------------------------------------------------------------------------
 
-def _bracket_atoms(ctx: EnvelopeContext, a: Gen, b: Gen) -> Element:
+def _bracket_atoms(model: AlgebraModel, a: Gen, b: Gen) -> Element:
     """[a, b] = a<>b - (-1)^{deg a deg b} b<>a."""
-    model = ctx.model
     first = model.diamond_atoms(a.gen, b.gen)
     second = model.diamond_atoms(b.gen, a.gen)
     sign = -1 if (degree(a, SHIFT1) & 1 and degree(b, SHIFT1) & 1) else 1
     return first - second if sign > 0 else first + second
 
 
-def r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
+def _r2_image(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
+    """r2 on a pair of tensor words: ctx's stored image, to be read only."""
+    return _memo(ctx.images, _r2_words, ctx.model, x, y)
+
+
+def _r2_words(model: AlgebraModel, x: Tensor, y: Tensor) -> Element:
     """The pre-Lie extension on a pair of tensor words; length p+q-1 output."""
-    return _image(ctx, (x, y), _r2_words, x, y)
-
-
-def _r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     xs, ys = x.factors, y.factors
     xdeg = [degree(f, SHIFT1) for f in xs]
     y1 = ys[0]
@@ -183,9 +176,9 @@ def _r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     # shuffles of x[k:] with y[1:]
     for k in range(1, len(xs) + 1):
         if k == 1:
-            atoms = ctx.model.diamond_atoms(xs[0].gen, y1.gen)
+            atoms = model.diamond_atoms(xs[0].gen, y1.gen)
         else:
-            atoms = _bracket_atoms(ctx, xs[k - 1], y1)
+            atoms = _bracket_atoms(model, xs[k - 1], y1)
         if atoms.is_zero():
             continue
         pref = -1 if (y1_odd and sum(xdeg[k:]) & 1) else 1
@@ -197,19 +190,19 @@ def _r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
 
 
 def r2(ctx: EnvelopeContext, x, y) -> Element:
-    """Bilinear extension of r2_words to elements."""
+    """Bilinear extension of r2 on pairs of tensor words to elements."""
     if isinstance(x, Tensor):
         x = Element.single(x)
     if isinstance(y, Tensor):
         y = Element.single(y)
     require(x, is_tensor_of_gens, "tensor words over generators")
     require(y, is_tensor_of_gens, "tensor words over generators")
-    return x.map_pairs(y, lambda wx, wy: r2_words(ctx, wx, wy))
+    return x.map_pairs(y, lambda wx, wy: _r2_image(ctx, wx, wy))
 
 
-def r2_shifted(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
+def _r2_shifted(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     """(-1)^{deg' x} r2(x, y), the once-shifted companion."""
-    res = r2_words(ctx, x, y)
+    res = _r2_image(ctx, x, y)
     if degree(x, SHIFT2) & 1:
         return -res
     return res
@@ -326,21 +319,21 @@ def l_infinity_q(ctx: EnvelopeContext, elem: Element) -> Element:
 def m_map(ctx: EnvelopeContext, elem: Element) -> Element:
     """Lift of D: D at the head, plus head-signed D at every tail factor."""
     require(elem, is_pair_over_tensors, "pair words over tensor words")
-    return _lift(ctx, elem, zinfinity_d_word, None)
+    return _lift(ctx, elem, _d_image, None)
 
 
 def r_map(ctx: EnvelopeContext, elem: Element) -> Element:
     """Lift of the shifted r2: head paired against each tail factor, plus
     the symmetrised shifted r2 on pairs of tail factors."""
     require(elem, is_pair_over_tensors, "pair words over tensor words")
-    return _lift(ctx, elem, None, r2_shifted)
+    return _lift(ctx, elem, None, _r2_shifted)
 
 
 def q_total(ctx: EnvelopeContext, elem: Element) -> Element:
     """Q = m + R, the candidate codifferential of both coproducts, in one
     pass of the lift."""
     require(elem, is_pair_over_tensors, "pair words over tensor words")
-    return _lift(ctx, elem, zinfinity_d_word, r2_shifted)
+    return _lift(ctx, elem, _d_image, _r2_shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +350,19 @@ def coderivation_defect(ctx: EnvelopeContext, q, coproduct, cop_degree: int,
     the convention under which the m half of the lift does coderive the
     cocrochet (the unsigned form fails for m, which pins the sign).  The
     (id x Q) leg always carries the Koszul sign of moving a degree-one map
-    past the first leg.
+    past the first leg.  The three sides are added into one signed sum, and
+    q runs once per distinct leg word across both legs.
     """
-    q_word = lambda w: q(ctx, Element.single(w))
-    ce = coproduct(elem)
-    t1 = ce.map_leg(0, q_word, 1, SHIFT2)
-    t2 = ce.map_leg(1, q_word, 1, SHIFT2)
-    lhs = coproduct(q(ctx, elem))
-    if cop_degree & 1:
-        return lhs + t1 + t2
-    return lhs - t1 - t2
+    def q_leg(w):       # q's image of one leg word, keyed by one-leg tuples
+        return {(w2,): c for w2, c in q(ctx, Element.single(w)).items()}
+    images = {}     # (q_leg, leg word) -> its image, for this call only
+    scale = 1 if cop_degree & 1 else -1
+    out = coproduct(q(ctx, elem))       # the other sides are added into its terms
+    ce = coproduct(elem).terms
+    for leg in (0, 1):
+        _cosplit_into(out.terms, ce, leg, lambda w: _memo(images, q_leg, w), 1, SHIFT2,
+                      ((scale, ()),))
+    return out
 
 
 def r2_prelie_defect(ctx: EnvelopeContext, x: Element, y: Element,

@@ -58,6 +58,12 @@ the cap against both.  Only the terms that survive become Tensor words.
 The code tables, like the sign tables, hold operator data only and are
 lru_caches, so mutant clears them.
 
+One memo kernel.  _memo(table, fn, *args) computes fn(*args) once per table
+and keeps it under (fn,) + args; every image table of the package goes
+through it: the coproducts' embeddings, sym_inserts and mus, cosplit_leg's
+images, the envelope images of an EnvelopeContext and coderivation_defect's
+images of Q.  A stored image is read, never copied or changed.
+
 Text.  word_to_text prints a word in the T(...), S(...), P(...; ...) grammar
 and is every word's repr.  element_to_text prints 'p/q * word' terms in
 canonical order, and parse_element reads them back (grammar in _Parser).
@@ -331,7 +337,7 @@ class Element:
     """Finite formal linear combination over exact rationals.
 
     A key is a word, a tuple of words (a term of a tensor power) or a model
-    atom (a Generator).  The leg operations map_leg, cosplit_leg and volte act
+    atom (a Generator).  The leg operations cosplit_leg and volte act
     on tuple keys and reject any key without the leg they touch; + and -
     reject two nonzero elements whose keys differ in kind.
     """
@@ -394,11 +400,6 @@ class Element:
             add(k, -c)
         return out
 
-    def copy(self) -> "Element":
-        out = Element()
-        out.terms = dict(self.terms)
-        return out
-
     def __neg__(self) -> "Element":
         out = Element()
         out.terms = {k: -c for k, c in self.terms.items()}
@@ -456,30 +457,15 @@ class Element:
             return degs.pop()
         return None
 
-    def map_leg(self, leg: int, fn, fn_degree: int, view: GradingView) -> "Element":
-        """Apply the linear map fn (Word -> Element) to one leg, with the
-        Koszul sign of carrying a map of the given degree past earlier legs:
-        cosplit_leg with one-leg images, so fn runs once per distinct leg
-        word in this call."""
-        def one_leg(w):
-            image = Element()
-            image.terms = {(w2,): c for w2, c in fn(w).terms.items()}
-            return image
-        return self.cosplit_leg(leg, one_leg, fn_degree, view)
-
     def cosplit_leg(self, leg: int, cop, cop_degree: int, view: GradingView) -> "Element":
         """Apply the coproduct cop (Word -> Element over pairs of words) to one
-        leg, one more leg per key, with the same passing-sign convention.
-        cop runs once per distinct leg word in this call."""
-        images = {}      # leg word -> terms of its image, for this call only
-
-        def image(w):
-            found = images.get(w)
-            if found is None:
-                found = images[w] = cop(w).terms
-            return found
+        leg, one more leg per key, with the Koszul sign of carrying a map of
+        degree cop_degree past earlier legs.  cop runs once per distinct leg
+        word in this call."""
+        images = {}      # (cop, leg word) -> its image, for this call only
         out = Element()
-        _cosplit_into(out.terms, self.terms, leg, image, cop_degree, view, ((1, ()),))
+        _cosplit_into(out.terms, self.terms, leg, lambda w: _memo(images, cop, w).terms,
+                      cop_degree, view, ((1, ()),))
         return out
 
     def volte(self, leg: int, view: GradingView) -> "Element":
@@ -492,6 +478,17 @@ class Element:
                 c = -c
             out.add_term(legs[:leg] + (b, a) + legs[leg + 2:], c)
         return out
+
+
+def _memo(table, fn, *args):
+    """fn(*args), once per table: kept under the key (fn,) + args, and stored
+    only once fn returns, so an aborted fn stores nothing.  A caller reads
+    what it gets and never changes it."""
+    key = (fn,) + args
+    found = table.get(key)
+    if found is None:
+        found = table[key] = fn(*args)
+    return found
 
 
 def _cosplit_into(acc: dict, terms: dict, leg: int, image, cop_degree: int,
@@ -647,8 +644,6 @@ def _mu_table(n: int):
     mu_1 = id and mu_{n+1} = mu_n x id - (mu_n x id) o (inverse cycle), the
     cycle being (1 ... n+1).
     """
-    if n < 1:
-        raise ValueError("mu arity must be >= 1")
     if n == 1:
         return ((Permutation.identity(1), 1),)
     prev = _mu_table(n - 1)
@@ -708,8 +703,10 @@ def mu(n: int, elem, view: GradingView) -> Element:
     """mu_n on a tensor word or element whose words all have length n.  A
     single word is placed; on a sum whose first word, base, has distinct
     factors, a word that rearranges base is added by arrangement code, and
-    only the codes that survive are placed onto base."""
-    placers = _mu_placers(n)
+    only the codes that survive are placed onto base.  mu_n's tables are
+    built only once a word of length n has passed its check."""
+    if n < 1:
+        raise ValueError("mu arity must be >= 1")
     terms = {elem: 1} if isinstance(elem, Tensor) else elem.terms
     acc = {}        # factor tuple -> coefficient
     coded = {}      # arrangement code -> coefficient
@@ -734,7 +731,7 @@ def mu(n: int, elem, view: GradingView) -> Element:
             if code is not None:
                 _add_signed(coded, _mu_row(n, code), signs, c, len(acc))
                 continue
-        _add_signed(acc, [place(factors) for place in placers], signs, c, len(coded))
+        _add_signed(acc, [place(factors) for place in _mu_placers(n)], signs, c, len(coded))
     out = _tensors(acc)
     if coded:
         arrangements = _arrangements(n)[1]

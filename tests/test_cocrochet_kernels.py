@@ -103,9 +103,9 @@ def test_leg_maps_apply_their_map_once_per_distinct_leg_word():
         calls.append(w)
         return Element({(w, w): 1, (w, ta): 2})
 
-    def fn(w):
+    def fn(w):      # a one-leg image
         calls.append(w)
-        return Element({w: 1, tb: -1})
+        return Element({(w,): 1, (tb,): -1})
 
     for leg in (0, 1):
         calls.clear()
@@ -118,7 +118,7 @@ def test_leg_maps_apply_their_map_once_per_distinct_leg_word():
                 expected.add_term(legs[:leg] + split + legs[leg + 1:], sign * k * k2)
         assert out == expected
         calls.clear()
-        elem.map_leg(leg, fn, 0, SHIFT1)
+        elem.cosplit_leg(leg, fn, 0, SHIFT1)
         assert len(calls) == len({k[leg] for k in elem.terms}) == len(set(calls))
 
 

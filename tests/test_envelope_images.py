@@ -1,23 +1,32 @@
-"""The images of r2_words and zinfinity_d_word kept on an EnvelopeContext:
-one computation per distinct argument, copies out, nothing kept from an
-aborted computation, one context per suite instance, and emptied by mutant."""
+"""The images of D and r2 kept on an EnvelopeContext: one computation per
+distinct argument, read and never changed, keyed without the context,
+nothing kept from an aborted computation, one context per suite instance,
+and emptied by mutant; and coderivation_defect's images of Q, one per
+distinct leg word."""
 
 import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
 
 from pregerst import envelopes, words
-from pregerst.cooperations import delta_perm
+from pregerst.cooperations import delta_perm, kappa
 from pregerst.envelopes import (
     EnvelopeContext,
+    _d_image,
+    _r2_image,
     coderivation_defect,
+    l_infinity_q,
+    m_map,
+    prelie_envelope_q,
     q_total,
     r2,
-    r2_words,
+    r2_derivation_defect,
+    r2_prelie_defect,
+    r_map,
     zinfinity_d,
-    zinfinity_d_word,
 )
 from pregerst.errors import TermBudgetExceeded
 from pregerst.grading import SHIFT2
@@ -28,6 +37,7 @@ from pregerst.words import (
     Element,
     Gen,
     Pair,
+    Sym,
     Tensor,
     get_term_cap,
     set_term_cap,
@@ -50,14 +60,15 @@ def rand_pair(model, rng):
 
 
 def counting(monkeypatch, name):
-    """Replace the private body envelopes.<name> by a wrapper that counts its
-    calls per (context, arguments)."""
-    body = getattr(envelopes, name)
+    """Replace the private envelopes.<name> by a wrapper that counts its
+    calls per argument tuple, its first argument (a model or a context) left
+    out."""
+    fn = getattr(envelopes, name)
     calls = Counter()
 
-    def wrapper(ctx, *args):
-        calls[(id(ctx),) + args] += 1
-        return body(ctx, *args)
+    def wrapper(first, *args):
+        calls[args] += 1
+        return fn(first, *args)
     monkeypatch.setattr(envelopes, name, wrapper)
     return calls
 
@@ -65,29 +76,27 @@ def counting(monkeypatch, name):
 def test_each_body_runs_once_per_distinct_argument_per_context(monkeypatch):
     r2_calls = counting(monkeypatch, "_r2_words")
     d_calls = counting(monkeypatch, "_zinfinity_d_word")
-    public = Counter()
-    r2_public = envelopes.r2_words
-
-    def count_public(ctx, x, y):
-        public["r2_words"] += 1
-        return r2_public(ctx, x, y)
-    monkeypatch.setattr(envelopes, "r2_words", count_public)
+    r2_reads = counting(monkeypatch, "_r2_image")
     model = FormsModel(2)
     rng = random.Random(4417)
     cop = lambda e: delta_perm(e, SHIFT2)
-    contexts = []
-    while len(contexts) < 8:
+    contexts = computed = read = 0
+    while contexts < 8:
         elem = rand_pair(model, rng)
         if elem is None:
             continue
+        contexts += 1
         ctx = EnvelopeContext(model)
-        contexts.append(ctx)
+        for calls in (r2_calls, d_calls, r2_reads):
+            calls.clear()
         assert coderivation_defect(ctx, q_total, cop, 0, elem).is_zero()
         assert q_total(ctx, q_total(ctx, elem)).is_zero()
-    assert set(r2_calls.values()) == {1} and set(d_calls.values()) == {1}
-    assert len(r2_calls) + len(d_calls) == sum(len(c.images) for c in contexts)
+        assert set(r2_calls.values()) <= {1} and set(d_calls.values()) <= {1}
+        assert len(r2_calls) + len(d_calls) == len(ctx.images)
+        computed += len(r2_calls)
+        read += sum(r2_reads.values())
     # the images were read more often than they were computed
-    assert public["r2_words"] > 2 * len(r2_calls)
+    assert read > 2 * computed > 0
 
 
 def test_warm_context_results_equal_fresh_context_results():
@@ -112,18 +121,43 @@ def test_warm_context_results_equal_fresh_context_results():
     assert len(warm.images) > 200
 
 
-def test_a_returned_image_is_a_copy():
+def every_public_map_and_checker(ctx, model, rng):
+    """The results of every public map and checker of envelopes on a few
+    sampled inputs over ctx."""
+    cops = [(lambda e: delta_perm(e, SHIFT2), 0), (kappa, 1)]
+    u1, u2 = Gen(model.atom((1, 0), ())), Gen(model.atom((0, 1), ()))
+    out = [prelie_envelope_q(ctx, Element.single(Pair(u1, Sym((u2,))))),
+           l_infinity_q(ctx, Element.single(Sym((u1, u2))))]
+    for _ in range(12):
+        elem = rand_pair(model, rng)
+        x, y, z = (Element.single(rand_word(model, rng, rng.randint(1, 3))) for _ in range(3))
+        out += [zinfinity_d(ctx, x), r2(ctx, x, y), r2_prelie_defect(ctx, x, y, z),
+                r2_derivation_defect(ctx, x, y)]
+        if elem is None:
+            continue
+        for q in (m_map, r_map, q_total):
+            out.append(q(ctx, elem))
+            out += [coderivation_defect(ctx, q, cop, d, elem) for cop, d in cops]
+    return out
+
+
+def test_stored_images_are_read_never_changed():
     model = FormsModel(2)
     ctx = EnvelopeContext(model)
-    u1, u2 = Gen(model.atom((1, 0), ())), Gen(model.atom((0, 1), ()))
-    x, y, w = Tensor((u1, u2)), Tensor((u2,)), Tensor((u1, u2, u1))
-    r2_first, d_first = r2_words(ctx, x, y), zinfinity_d_word(ctx, w)
-    assert not r2_first.is_zero() and not d_first.is_zero()
-    expected_r2, expected_d = r2_first.copy(), d_first.copy()
-    r2_first.add_term(x, 5)
-    d_first.terms.clear()
-    assert r2_words(ctx, x, y) == expected_r2
-    assert zinfinity_d_word(ctx, w) == expected_d
+    every_public_map_and_checker(ctx, model, random.Random(6021))
+    stored = dict(ctx.images)
+    snapshot = {key: dict(image.terms) for key, image in stored.items()}
+    assert len(snapshot) > 100
+    # a caller that changes every result it gets changes nothing stored
+    for result in every_public_map_and_checker(ctx, model, random.Random(6021)):
+        result.terms.clear()
+    assert ctx.images == stored
+    assert all(ctx.images[key] is image for key, image in stored.items())
+    assert {key: image.terms for key, image in ctx.images.items()} == snapshot
+    # every key is (body, model, arguments), and none holds a context
+    assert {key[:2] for key in ctx.images} == {(envelopes._r2_words, model),
+                                               (envelopes._zinfinity_d_word, model)}
+    assert not any(isinstance(part, EnvelopeContext) for key in ctx.images for part in key)
 
 
 def test_a_term_cap_abort_leaves_no_entry():
@@ -135,14 +169,61 @@ def test_a_term_cap_abort_leaves_no_entry():
     set_term_cap(1)
     try:
         with pytest.raises(TermBudgetExceeded):
-            r2_words(ctx, x, y)
+            _r2_image(ctx, x, y)
         with pytest.raises(TermBudgetExceeded):
-            zinfinity_d_word(ctx, w)
+            _d_image(ctx, w)
     finally:
         set_term_cap(previous)
     assert ctx.images == {}
-    assert len(r2_words(ctx, x, y)) > 1 and len(zinfinity_d_word(ctx, w)) > 1
-    assert set(ctx.images) == {(x, y), w}
+    assert len(_r2_image(ctx, x, y)) > 1 and len(_d_image(ctx, w)) > 1
+    assert set(ctx.images) == {(envelopes._r2_words, model, x, y),
+                               (envelopes._zinfinity_d_word, model, w)}
+
+
+def test_coderivation_defect_applies_q_once_per_distinct_leg_word():
+    model = FormsModel(2)
+    rng = random.Random(2718)
+    shared = 0          # inputs with a word on both legs of kappa
+    for _ in range(30):
+        elem = rand_pair(model, rng)
+        if elem is None:
+            continue
+        calls = []
+
+        def q(ctx, e):
+            calls.append(e)
+            return q_total(ctx, e)
+        coderivation_defect(EnvelopeContext(model), q, kappa, 1, elem)
+        on_legs = [e for e in calls if e != elem]
+        assert len(on_legs) == len(calls) - 1
+        assert all(len(e) == 1 for e in on_legs)
+        applied = [next(iter(e.terms)) for e in on_legs]
+        legs = kappa(elem).terms
+        assert len(applied) == len(set(applied))
+        assert set(applied) == {w for key in legs for w in key}
+        shared += bool({k[0] for k in legs} & {k[1] for k in legs})
+    assert shared >= 3
+
+
+def test_a_context_dies_with_its_last_reference():
+    model = FormsModel(2)
+    sign, tail = sym_word([Tensor((Gen(model.atom((1, 0), ())),)),
+                           Tensor((Gen(model.atom((0, 1), ())),) * 2)], SHIFT2)
+    elem = Element.single(Pair(Tensor((Gen(model.atom((1, 1), ())),) * 2), tail), sign)
+    gc.collect()
+    live = len(EnvelopeContext._live)
+    gc.disable()
+    try:
+        ctx = EnvelopeContext(model)
+        q_total(ctx, q_total(ctx, elem))
+        coderivation_defect(ctx, q_total, kappa, 1, elem)
+        assert ctx.images
+        gone = weakref.ref(ctx)
+        del ctx
+        assert gone() is None
+        assert len(EnvelopeContext._live) == live
+    finally:
+        gc.enable()
 
 
 def word_table_sizes():

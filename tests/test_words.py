@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from pregerst import words
 from pregerst.errors import ParseError, SchemaError, TermBudgetExceeded
 from pregerst.grading import SHIFT1, SHIFT2, GeneratorRegistry
 from pregerst.words import (
@@ -206,6 +207,18 @@ def test_mu_length_mismatch(reg):
         mu(3, Tensor((a, b)), SHIFT1)
 
 
+def test_mu_checks_its_words_before_it_builds_a_table(reg, monkeypatch):
+    """mu_n's table has 2^(n-1) terms, so a word of the wrong length, or no
+    word at all, must be answered before any table is built."""
+    def refuse(n):
+        raise AssertionError("mu_%d's table was built" % n)
+    monkeypatch.setattr(words, "_mu_table", refuse)
+    (a,) = gens(reg, [("a", 1)])
+    with pytest.raises(SchemaError):
+        mu(40, Tensor((a,)), SHIFT1)
+    assert mu(40, Element(), SHIFT1).is_zero()
+
+
 def test_sym_product_rules(reg):
     x, y = gens(reg, [("x", 2), ("y", 3)])
     sx = Element.single(Sym((Tensor((x,)),)))
@@ -380,11 +393,11 @@ def test_term_cap_enforced(reg):
 def test_leg_maps_reject_keys_without_the_leg(reg):
     a, b = gens(reg, [("a", 2), ("b", 3)])
     ta, tb = Tensor((a,)), Tensor((b,))
-    keep = Element.single
+    keep = lambda w: Element.single((w,))       # a one-leg image
     split = lambda w: Element.single((w, w))
     leg_ops = [
         lambda e, leg: e.volte(leg, SHIFT1),
-        lambda e, leg: e.map_leg(leg, keep, 0, SHIFT1),
+        lambda e, leg: e.cosplit_leg(leg, keep, 0, SHIFT1),
         lambda e, leg: e.cosplit_leg(leg, split, 0, SHIFT1),
     ]
     one_leg = Element.single((ta,))
@@ -397,7 +410,7 @@ def test_leg_maps_reject_keys_without_the_leg(reg):
     # deg(T(a)) = 1 and deg(T(b)) = 2, so the swap carries no sign
     two_legs = Element.single((ta, tb), 3)
     assert two_legs.volte(0, SHIFT1) == Element.single((tb, ta), 3)
-    assert two_legs.map_leg(1, keep, 1, SHIFT1) == -two_legs
+    assert two_legs.cosplit_leg(1, keep, 1, SHIFT1) == -two_legs
     assert two_legs.cosplit_leg(0, split, 0, SHIFT1) == Element.single((ta, ta, tb), 3)
 
 

@@ -31,10 +31,13 @@ products are materialised as pair-word elements via the embedding, so a
 coproduct on the pair-word space really lands in (that space) tensor (that
 space) and laws can be iterated.
 
-law_defect expands both sides of a law into one element keyed by triples
-(or pairs) of words, the exact defect: the law holds on the input when it is
-zero.  Each side, a coproduct at one leg of a first coproduct's result, is
-added with a scale and its voltes, Koszul-signed in the law's view.
+Each law is one row of _LAWS: its default view, the words it accepts and
+its sides.  law_defect adds every side, a coproduct at one leg of a first
+coproduct's result with a scale and its voltes, Koszul-signed in the law's
+view, into one element keyed by triples (or pairs) of words: the exact
+defect, zero when the law holds.  Cocommutativity and kappa cosymmetry are
+sides too: the identity at leg 0 of delta_cocom's or kappa_prime's result,
+added swapped and subtracted.
 
 Each coproduct has a body on one word that reads the images it needs
 through a table keyed by all they read: a body's through _image, an
@@ -328,16 +331,19 @@ def kappa_prime_sym(elem: Element, view: GradingView = SHIFT2,
     return _extend({}, _kappa_prime_sym_word, elem, view, mu_legs)
 
 
-def kappa_prime(elem: Element, view: GradingView = SHIFT2,
-                mu_legs: bool = False) -> Element:
-    """kappa_prime with both legs materialised as pair-word elements."""
-    images = {}
+def _kappa_prime_word(images, word, view, mu_legs):
     out = Element()
-    for (lega, legb), coeff in _extend(images, _kappa_prime_sym_word, elem, view, mu_legs).items():
+    for (lega, legb), coeff in _kappa_prime_sym_word(images, word, view, mu_legs).items():
         for wa, ca in _memo(images, embed_sym_into_pair, lega, view).terms.items():
             for wb, cb in _memo(images, embed_sym_into_pair, legb, view).terms.items():
                 out.add_term((wa, wb), coeff * ca * cb)
-    return out
+    return out.terms
+
+
+def kappa_prime(elem: Element, view: GradingView = SHIFT2,
+                mu_legs: bool = False) -> Element:
+    """kappa_prime with both legs materialised as pair-word elements."""
+    return _extend({}, _kappa_prime_word, elem, view, mu_legs)
 
 
 def _kappa_word(images, word, view, mu_legs):
@@ -402,89 +408,64 @@ def kappa(elem: Element, view: GradingView = SHIFT2,
 # law checking
 # ---------------------------------------------------------------------------
 
-def _law_defect(law: LawId, elem: Element, view: GradingView) -> Element:
-    if law is LawId.COCOMM:
-        d = delta_cocom(elem, view)
-        return d.volte(0, view) - d
-    if law is LawId.KAPPA_COSYM:
-        k = kappa_prime(elem, view)
-        return k.volte(0, view) - k
-    # a side (first, leg, body, its degree, outs) is body's coproduct at leg
-    # of first's, added once for each (scale, voltes) of outs
-    delta, kap = _delta_perm_word, _kappa_word
-    if law is LawId.COASSOC:
-        sides = [(_delta_cocom_word, 0, _delta_cocom_word, 0, ((1, ()),)),
-                 (_delta_cocom_word, 1, _delta_cocom_word, 0, ((-1, ()),))]
-    elif law is LawId.LEIBNIZ_COALG:
-        sides = [(_delta_leibniz_word, 1, _delta_leibniz_word, 0, ((1, ()),)),
-                 (_delta_leibniz_word, 0, _delta_leibniz_word, 0, ((-1, ()), (1, (1,))))]
-    elif law is LawId.PERM_COALG:
-        sides = [(delta, 1, delta, 0, ((1, ()), (-1, (1,))))]
-    elif law is LawId.COJACOBI_DELTA:
-        sides = [(_cocrochet_lie_word, 0, _cocrochet_lie_word, 0,
-                  ((1, ()), (1, (1, 0)), (1, (0, 1))))]
-    elif law is LawId.KAPPA_COJACOBI:
-        sides = [(kap, 1, kap, 1, ((-1, ()),)), (kap, 0, kap, 1, ((-1, ()), (-1, (1,))))]
-    elif law is LawId.COMPAT_1:
-        sides = [(delta, 1, kap, 1, ((1, ()), (-1, (1,))))]
-    elif law is LawId.COMPAT_2:
-        sides = [(kap, 1, delta, 0, ((1, ()),)), (delta, 0, kap, 1, ((-1, ()), (-1, (1,))))]
-    elif law is LawId.COMPAT_3:
-        sides = [(kap, 0, delta, 0, ((1, ()),)), (delta, 1, kap, 1, ((-1, ()),)),
-                 (delta, 0, kap, 1, ((-1, (1,)),))]
-    else:
-        raise ValueError("unknown law %r" % law)
-    images = {}     # (body, word, view, mu_legs) -> image terms, for this evaluation only
-    out = Element()     # both sides are added into its one signed sum
-    for first, leg, body, cop_degree, outs in sides:
-        _cosplit_into(out.terms, _extend(images, first, elem, view).terms, leg,
-                      lambda w: _image(images, body, w, view, False), cop_degree, view, outs)
-    return out
+def _identity_word(images, word, view, mu_legs):
+    return {(word,): 1}
 
 
-_LAW_DEFAULT_VIEW = {
-    LawId.COASSOC: SHIFT1,
-    LawId.COCOMM: SHIFT1,
-    LawId.LEIBNIZ_COALG: SHIFT1,
-    LawId.COJACOBI_DELTA: SHIFT1,
-    LawId.PERM_COALG: SHIFT2,
-    LawId.KAPPA_COSYM: SHIFT2,
-    LawId.KAPPA_COJACOBI: SHIFT2,
-    LawId.COMPAT_1: SHIFT2,
-    LawId.COMPAT_2: SHIFT2,
-    LawId.COMPAT_3: SHIFT2,
-}
-
-# The checks name the predicates inside lambdas, so each name is looked up
-# when a law runs: a function object captured at import would bypass a
+# A row is (default view, accepted words: a predicate and what it names, or
+# None, sides); a side (first, leg, body, its degree, outs) is body's
+# coproduct at leg of first's, added once for each (scale, voltes) of outs.
+# The predicates name their functions inside lambdas, so each name is looked
+# up when a law runs: a function object captured at import would bypass a
 # wrapper bound to the module name later.
-_LAW_SPACE_CHECK = {
-    LawId.LEIBNIZ_COALG: (lambda w: is_tensor_of_gens(w), "tensor words over generators"),
-    LawId.COJACOBI_DELTA: (lambda w: is_tensor_of_gens(w), "tensor words over generators"),
-    LawId.KAPPA_COSYM: (
-        lambda w: is_sym_of(w, is_tensor_of_gens),
-        "symmetric words of tensor factors",
-    ),
-    LawId.PERM_COALG: (
-        lambda w: is_pair_over_tensors(w) or is_pair_over_gens(w),
-        "pair words",
-    ),
-    LawId.KAPPA_COJACOBI: (lambda w: is_pair_over_tensors(w), "pair words with tensor heads"),
-    LawId.COMPAT_1: (lambda w: is_pair_over_tensors(w), "pair words with tensor heads"),
-    LawId.COMPAT_2: (lambda w: is_pair_over_tensors(w), "pair words with tensor heads"),
-    LawId.COMPAT_3: (lambda w: is_pair_over_tensors(w), "pair words with tensor heads"),
+_TENSOR_WORDS = (lambda w: is_tensor_of_gens(w), "tensor words over generators")
+_TENSOR_HEADS = (lambda w: is_pair_over_tensors(w), "pair words with tensor heads")
+_SWAPPED = ((1, (0,)), (-1, ()))     # volte(first) - first
+_LAWS = {
+    LawId.COASSOC: (SHIFT1, None, (
+        (_delta_cocom_word, 0, _delta_cocom_word, 0, ((1, ()),)),
+        (_delta_cocom_word, 1, _delta_cocom_word, 0, ((-1, ()),)))),
+    LawId.COCOMM: (SHIFT1, None, ((_delta_cocom_word, 0, _identity_word, 0, _SWAPPED),)),
+    LawId.LEIBNIZ_COALG: (SHIFT1, _TENSOR_WORDS, (
+        (_delta_leibniz_word, 1, _delta_leibniz_word, 0, ((1, ()),)),
+        (_delta_leibniz_word, 0, _delta_leibniz_word, 0, ((-1, ()), (1, (1,)))))),
+    LawId.PERM_COALG: (SHIFT2, (lambda w: is_pair_over_tensors(w) or is_pair_over_gens(w),
+                                "pair words"), (
+        (_delta_perm_word, 1, _delta_perm_word, 0, ((1, ()), (-1, (1,)))),)),
+    LawId.COJACOBI_DELTA: (SHIFT1, _TENSOR_WORDS, (
+        (_cocrochet_lie_word, 0, _cocrochet_lie_word, 0, ((1, ()), (1, (1, 0)), (1, (0, 1)))),)),
+    LawId.KAPPA_COSYM: (SHIFT2, (lambda w: is_sym_of(w, is_tensor_of_gens),
+                                 "symmetric words of tensor factors"), (
+        (_kappa_prime_word, 0, _identity_word, 0, _SWAPPED),)),
+    LawId.KAPPA_COJACOBI: (SHIFT2, _TENSOR_HEADS, (
+        (_kappa_word, 1, _kappa_word, 1, ((-1, ()),)),
+        (_kappa_word, 0, _kappa_word, 1, ((-1, ()), (-1, (1,)))))),
+    LawId.COMPAT_1: (SHIFT2, _TENSOR_HEADS, (
+        (_delta_perm_word, 1, _kappa_word, 1, ((1, ()), (-1, (1,)))),)),
+    LawId.COMPAT_2: (SHIFT2, _TENSOR_HEADS, (
+        (_kappa_word, 1, _delta_perm_word, 0, ((1, ()),)),
+        (_delta_perm_word, 0, _kappa_word, 1, ((-1, ()), (-1, (1,)))))),
+    LawId.COMPAT_3: (SHIFT2, _TENSOR_HEADS, (
+        (_kappa_word, 0, _delta_perm_word, 0, ((1, ()),)),
+        (_delta_perm_word, 1, _kappa_word, 1, ((-1, ()),)),
+        (_delta_perm_word, 0, _kappa_word, 1, ((-1, (1,)),)))),
 }
 
 
 def law_defect(law: LawId, elem: Element, view: GradingView = None) -> Element:
     """Both sides of the law expanded on the given element, subtracted: the
     exact defect, zero when the law holds on this input."""
+    default_view, space, sides = _LAWS[law]
     if view is None:
-        view = _LAW_DEFAULT_VIEW[law]
-    space = _LAW_SPACE_CHECK.get(law)
+        view = default_view
     if space is not None:
         predicate, what = space
         for w in elem.terms:
             if not predicate(w):
                 raise SchemaError("law %s needs %s" % (law.value, what))
-    return _law_defect(law, elem, view)
+    images = {}     # (body, word, view, mu_legs) -> image terms, for this evaluation only
+    out = Element()     # all sides are added into its one signed sum
+    for first, leg, body, cop_degree, outs in sides:
+        _cosplit_into(out.terms, _extend(images, first, elem, view).terms, leg,
+                      lambda w: _image(images, body, w, view, False), cop_degree, view, outs)
+    return out

@@ -290,22 +290,6 @@ class AxiomId(Enum):
     D_DERIV_DIAMOND = "d_deriv_diamond"
 
 
-AXIOM_ARITY = {
-    AxiomId.ZINBIEL: 3,
-    AxiomId.PRELIE: 3,
-    AxiomId.COMPAT_A: 3,
-    AxiomId.COMPAT_B: 3,
-    AxiomId.COMPAT_C: 3,
-    AxiomId.DERIVED_1: 3,
-    AxiomId.DERIVED_2: 3,
-    AxiomId.LEIBNIZ_GERST: 3,
-    AxiomId.AGUIAR_1: 3,
-    AxiomId.AGUIAR_2: 3,
-    AxiomId.D_DERIV_WEDGE: 2,
-    AxiomId.D_DERIV_DIAMOND: 2,
-}
-
-
 def _sign(exp: int) -> int:
     return -1 if exp & 1 else 1
 
@@ -313,8 +297,9 @@ def _sign(exp: int) -> int:
 def axiom_defect(model: AlgebraModel, axiom: AxiomId, args) -> Element:
     """Exact defect of one axiom on homogeneous elements; zero iff it holds."""
     args = [_element(a) for a in args]
-    if len(args) != AXIOM_ARITY[axiom]:
-        raise ValueError("axiom %s takes %d arguments" % (axiom.value, AXIOM_ARITY[axiom]))
+    arity = 2 if axiom in (AxiomId.D_DERIV_WEDGE, AxiomId.D_DERIV_DIAMOND) else 3
+    if len(args) != arity:
+        raise ValueError("axiom %s takes %d arguments" % (axiom.value, arity))
     degs = [a.homogeneous_degree(BASE) for a in args]
     if any(d is None and not a.is_zero() for d, a in zip(degs, args)):
         raise SchemaError("axiom arguments must be homogeneous")

@@ -16,7 +16,8 @@ of words (a term of a tensor power, the codomain of every coproduct and
 iterated coproduct; its legs are the tuple's entries) or a model atom (a
 Generator).  A coefficient is an exact int while it is integral and a Fraction
 once a division has made it so; floats never get in, because the scalar entry
-points (single, scaled) pass anything that is not an int through Fraction.
+points (the mapping constructor, single, scaled) pass anything that is not an
+int through Fraction.
 
 Hash-consing.  Words are interned: each constructor looks its children up in
 a per-class table (Gen by its generator's (name, degree)) and returns the one
@@ -345,12 +346,12 @@ class Element:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        """The element of a mapping key -> coefficient: zero coefficients
-        are dropped, and keys of different kinds are refused."""
+        """The element of a mapping key -> coefficient: each coefficient is
+        made exact, zeros are dropped, and keys of different kinds are refused."""
         if not terms:
             self.terms = {}
             return
-        self.terms = {k: c for k, c in dict(terms).items() if c != 0}
+        self.terms = {k: _exact(c) for k, c in dict(terms).items() if c != 0}
         kinds = {_key_kind(k) for k in self.terms}
         if len(kinds) > 1:
             raise SchemaError("an element's keys must all be of one kind, not %s"

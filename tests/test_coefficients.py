@@ -247,6 +247,19 @@ def test_float_scalars_become_fractions():
     assert type(Element.single(w).scaled(3).terms[w]) is int
 
 
+def test_float_coefficients_of_a_mapping_become_fractions():
+    # the mapping constructor is a scalar entry point too, and every model
+    # operation takes a mapping through it
+    model = FormsModel(2)
+    u1, u2 = model.atom((1, 0), ()), model.atom((0, 1), ())
+    assert Element({u1: 0.5}).terms == {u1: Fraction(1, 2)}
+    assert type(Element({u1: 0.5}).terms[u1]) is Fraction
+    assert type(Element({u1: 2}).terms[u1]) is int
+    product = model.wedge({u1: 0.5}, {u2: 1})
+    assert exact(product.terms.values())
+    assert element_to_text(product) == "1/2 * u1.du2"
+
+
 def test_int_element_equals_its_fraction_twin():
     reg = GeneratorRegistry()
     a, b = Gen(reg.declare("a", 2)), Gen(reg.declare("b", 3))

@@ -208,8 +208,10 @@ def test_formal_model_has_free_operations():
 
 def test_axiom_argument_validation(m2):
     u1 = one_term(m2, (1, 0), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="axiom zinbiel takes 3 arguments"):
         axiom_defect(m2, AxiomId.ZINBIEL, [u1, u1])
+    with pytest.raises(ValueError, match="axiom d_deriv_wedge takes 2 arguments"):
+        axiom_defect(m2, AxiomId.D_DERIV_WEDGE, [u1, u1, u1])
     mixed = dict(one_term(m2, (1, 0), ()))
     mixed.update(one_term(m2, (0, 0), (1,)))
     with pytest.raises(SchemaError):

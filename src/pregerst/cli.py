@@ -5,7 +5,7 @@ eval parses an element in the canonical grammar, applies one operation and
 prints the normalized result.
 
 Exit codes: 0 all defects zero, 1 at least one nonzero defect, 2 no verdict
-(aborted instances or usage errors).
+(aborted instances, usage errors or an --out file that cannot be written).
 """
 
 from __future__ import annotations
@@ -99,16 +99,20 @@ def _build_parser():
     return parser
 
 
-def _emit(text, out_path):
-    if out_path:
+def _emit(text, out_path, code):
+    """Writes text to the file or stdout; returns code, or 2 if no file was written."""
+    if not text.endswith("\n"):
+        text += "\n"
+    if not out_path:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    except OSError as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return 2
+    return code
 
 
 def _cmd_verify(args) -> int:
@@ -122,11 +126,8 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    if args.report == "structured":
-        _emit("\n".join(report.structured_lines()), args.out)
-    else:
-        _emit("\n".join(report.text_lines()), args.out)
-    return report.exit_code()
+    lines = report.structured_lines() if args.report == "structured" else report.text_lines()
+    return _emit("\n".join(lines), args.out, report.exit_code())
 
 
 def _parse_gens(text):
@@ -155,8 +156,7 @@ def _cmd_eval(args) -> int:
         if count == 2 and elem2 is None:
             raise ValueError("operation %s needs --expr2" % args.op)
         elems = [normalize(e, view) for e in (elem, elem2)[:count]]
-        _emit(element_to_text(fn(*elems, view)), args.out)
-        return 0
+        return _emit(element_to_text(fn(*elems, view)), args.out, 0)
     except (ValueError, KeyError, TermBudgetExceeded, RecursionError) as exc:
         # the parser, normalize and the printer recurse per nesting level
         sys.stderr.write("error: %s\n" % exc)

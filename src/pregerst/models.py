@@ -3,11 +3,13 @@ r"""Concrete graded algebras plugged into the coalgebraic machinery.
 An AlgebraModel supplies two operations on homogeneous atoms, each linear in
 both arguments: a wedge of base degree 0 (the Zinbiel candidate) and a
 diamond of base degree -1 (the pre-Lie-on-the-shift candidate), plus an
-optional differential.  Operations take atoms (single generators) and return
-exact linear combinations of atoms, Elements keyed by Generator, so
-everything extends multilinearly and identities that hold for the underlying
-algebra hold termwise after expansion.  The extended operations accept any
-mapping atom -> coefficient and return Elements.
+optional differential.  A subclass supplies each as a kernel on atoms,
+_wedge_into(add, a, b, coeff) and _diamond_into(add, a, b, coeff), which adds
+coeff times the product of a and b (exact, over atoms) through add.  One
+bilinear loop runs a kernel on two atoms (wedge_atoms, diamond_atoms) or on
+any two mappings atom -> coefficient (wedge, diamond), so everything extends
+multilinearly and identities that hold for the underlying algebra hold
+termwise after expansion.
 
 FormsModel: exterior differential forms with polynomial coefficients over
 the rationals in n variables.  A monomial atom is u^a dx_I with base degree
@@ -31,6 +33,7 @@ from __future__ import annotations
 import operator
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import SchemaError
 from .grading import BASE, Generator
@@ -45,9 +48,21 @@ def _element(a) -> Element:
     return a if type(a) is Element else Element(a)
 
 
+def _bilinear(kernel, left, right) -> Element:
+    """The element of kernel over every pair of terms (atom, coefficient) of
+    left and right, each pair's coefficients multiplied into one."""
+    out = Element()
+    add = out.add_term
+    for k1, c1 in left:
+        for k2, c2 in right:
+            kernel(add, k1, k2, c1 * c2)
+    return out
+
+
 class AlgebraModel:
-    """Base interface; subclasses supply wedge_atoms(a, b) and
-    diamond_atoms(a, b), and may override the zero differential."""
+    """Base interface; subclasses supply the kernels _wedge_into(add, a, b,
+    coeff) and _diamond_into(add, a, b, coeff), and may override the zero
+    differential."""
 
     def differential_atom(self, a: Generator) -> Element:
         return Element()
@@ -56,12 +71,18 @@ class AlgebraModel:
     def has_differential(self) -> bool:
         return False
 
+    def wedge_atoms(self, a: Generator, b: Generator) -> Element:
+        return _bilinear(self._wedge_into, ((a, 1),), ((b, 1),))
+
+    def diamond_atoms(self, a: Generator, b: Generator) -> Element:
+        return _bilinear(self._diamond_into, ((a, 1),), ((b, 1),))
+
     # extensions of the atom-level operations
     def wedge(self, a, b) -> Element:
-        return _element(a).map_pairs(_element(b), self.wedge_atoms)
+        return _bilinear(self._wedge_into, _element(a).terms.items(), _element(b).terms.items())
 
     def diamond(self, a, b) -> Element:
-        return _element(a).map_pairs(_element(b), self.diamond_atoms)
+        return _bilinear(self._diamond_into, _element(a).terms.items(), _element(b).terms.items())
 
     def differential(self, a) -> Element:
         return _element(a).map_words(self.differential_atom)
@@ -92,11 +113,50 @@ class AlgebraModel:
 class FormalModel(AlgebraModel):
     """The free operations: each product of two atoms is one fresh atom."""
 
-    def wedge_atoms(self, a: Generator, b: Generator) -> Element:
-        return Element.single(Generator("(%s^%s)" % (a.name, b.name), a.degree + b.degree))
+    def _wedge_into(self, add, a: Generator, b: Generator, coeff):
+        add(Generator("(%s^%s)" % (a.name, b.name), a.degree + b.degree), coeff)
 
-    def diamond_atoms(self, a: Generator, b: Generator) -> Element:
-        return Element.single(Generator("(%s<>%s)" % (a.name, b.name), a.degree + b.degree - 1))
+    def _diamond_into(self, add, a: Generator, b: Generator, coeff):
+        add(Generator("(%s<>%s)" % (a.name, b.name), a.degree + b.degree - 1), coeff)
+
+
+@lru_cache(maxsize=None)
+def _dx_sign(left: int, right: int) -> int:
+    """The sign of dx_I /\\ dx_J for the disjoint masks I and J (bit i for
+    du_i): -1 to the number of pairs i in I, j in J with j < i."""
+    crossings = 0
+    while right:
+        low = right & -right
+        crossings += (left & -(low << 1)).bit_count()    # the i in I above j
+        right ^= low
+    return -1 if crossings & 1 else 1
+
+
+@lru_cache(maxsize=None)
+def _inverse(d: int) -> Fraction:
+    return Fraction(1, d)
+
+
+def _mask(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
+def _indices(mask: int) -> tuple:
+    """The sorted dx indices of a mask."""
+    return tuple(i for i in range(1, mask.bit_length()) if mask >> i & 1)
+
+
+def _d_terms(record):
+    """d of a monomial record: per coordinate i in order with e_i > 0 and no
+    du_i, (coeff, record) of e_i du_i moved into place past the dx below i."""
+    exps, mask = record
+    out = []
+    bit = 1
+    for i, e in enumerate(exps):
+        bit <<= 1
+        if e and not mask & bit:
+            out.append((e * _dx_sign(bit, mask), (exps[:i] + (e - 1,) + exps[i + 1:], mask | bit)))
+    return out
 
 
 class FormsModel(AlgebraModel):
@@ -105,7 +165,8 @@ class FormsModel(AlgebraModel):
     Atoms are monomials u1^e1 ... un^en du_{i1} ... du_{ik} with base degree
     k + 1 (a k-form has base degree k + 1; there are no degree-0 elements).
     Atom names spell the monomial: 'u1.u1.du2' is u1^2 du2, 'one' is the
-    constant function 1.
+    constant function 1.  Each atom has a record (exps, mask): its exponent
+    tuple and the mask of its dx indices, bit i for du_i.
     """
 
     def __init__(self, n_coords: int, exterior_differential: bool = False):
@@ -113,8 +174,8 @@ class FormsModel(AlgebraModel):
             raise ValueError("need at least one coordinate")
         self.n_coords = n_coords
         self.exterior_differential = exterior_differential
-        self._keys = {}     # atom -> monomial key
-        self._atoms = {}    # monomial key -> atom
+        self._records = {}  # atom -> monomial record
+        self._atoms = {}    # monomial record -> atom
 
     # -- monomial plumbing ---------------------------------------------------
 
@@ -132,14 +193,14 @@ class FormsModel(AlgebraModel):
             raise ValueError("repeated dx index: the form is zero, not a monomial")
         dxs = tuple(sorted(dxs))
         gen = Generator(self._name(exps, dxs), len(dxs) + 1)
-        self._keys[gen] = (exps, dxs)
+        self._records[gen] = (exps, _mask(dxs))
         return gen
 
-    def _atom_at(self, key):
-        """The atom of a canonical monomial key, interned once per model."""
-        gen = self._atoms.get(key)
+    def _atom_at(self, record):
+        """The atom of a monomial record, interned once per model."""
+        gen = self._atoms.get(record)
         if gen is None:
-            gen = self._atoms[key] = self.atom(*key)
+            gen = self._atoms[record] = self.atom(record[0], _indices(record[1]))
         return gen
 
     @staticmethod
@@ -151,11 +212,15 @@ class FormsModel(AlgebraModel):
         return ".".join(parts) if parts else "one"
 
     def key(self, gen: Generator):
+        """The canonical key of an atom: its exponent tuple and sorted dx indices."""
+        exps, mask = self._record(gen)
+        return exps, _indices(mask)
+
+    def _record(self, gen: Generator):
         # keyed by the whole atom, so a hit also vouches for the degree
-        try:
-            return self._keys[gen]
-        except KeyError:
-            pass
+        record = self._records.get(gen)
+        if record is not None:
+            return record
         # names are self-describing, so atoms travel between model instances
         exps = [0] * self.n_coords
         dxs = []
@@ -170,70 +235,39 @@ class FormsModel(AlgebraModel):
                     dxs.append(int(index))
                 else:
                     exps[int(index) - 1] += 1
-        key = (tuple(exps), tuple(sorted(dxs)))
-        if len(set(dxs)) != len(dxs) or self._name(*key) != gen.name:
+        exps = tuple(exps)
+        if len(set(dxs)) != len(dxs) or self._name(exps, sorted(dxs)) != gen.name:
             raise SchemaError("atom %r is not the canonical name of a monomial" % gen.name)
         if len(dxs) + 1 != gen.degree:
             raise SchemaError("atom %r has inconsistent degree" % gen.name)
-        self._keys[gen] = key
-        return key
-
-    # -- exterior algebra on monomials ----------------------------------------
-
-    def _ext_wedge(self, k1, k2):
-        """Exterior product of two monomial keys: (sign, key) or None."""
-        (e1, d1), (e2, d2) = k1, k2
-        if set(d1) & set(d2):
-            return None
-        crossings = 0
-        for i in d1:
-            for j in d2:
-                if j < i:
-                    crossings += 1
-        sign = -1 if crossings & 1 else 1
-        exps = tuple(a + b for a, b in zip(e1, e2))
-        return sign, (exps, tuple(sorted(d1 + d2)))
-
-    def _ext_d(self, key):
-        """Exterior derivative of a monomial key: list of (coeff, key)."""
-        exps, dxs = key
-        out = []
-        for i in range(1, self.n_coords + 1):
-            e = exps[i - 1]
-            if e == 0 or i in dxs:
-                continue
-            before = sum(1 for j in dxs if j < i)
-            sign = -1 if before & 1 else 1
-            new_exps = tuple(x - 1 if j == i - 1 else x for j, x in enumerate(exps))
-            out.append((e * sign, (new_exps, tuple(sorted(dxs + (i,))))))
-        return out
+        record = self._records[gen] = (exps, _mask(dxs))
+        return record
 
     # -- the model operations --------------------------------------------------
 
-    def diamond_atoms(self, a: Generator, b: Generator) -> Element:
-        res = self._ext_wedge(self.key(a), self.key(b))
-        if res is None:
-            return Element()
-        sign, key = res
-        return Element.single(self._atom_at(key), sign)
+    def _diamond_into(self, add, a: Generator, b: Generator, coeff):
+        exps, mask = self._record(a)
+        b_exps, b_mask = self._record(b)
+        if not mask & b_mask:
+            add(self._atom_at((tuple(map(operator.add, exps, b_exps)), mask | b_mask)),
+                coeff * _dx_sign(mask, b_mask))
 
-    def wedge_atoms(self, a: Generator, b: Generator) -> Element:
-        ka, kb = self.key(a), self.key(b)
-        scale = 1 if b.degree == 1 else Fraction(1, b.degree)
-        out = Element()
-        for dc, dk in self._ext_d(kb):
-            res = self._ext_wedge(ka, dk)
-            if res is None:
-                continue
-            sign, key = res
-            out.add_term(self._atom_at(key), scale * dc * sign)
-        return out
+    def _wedge_into(self, add, a: Generator, b: Generator, coeff):
+        exps, mask = self._record(a)
+        b_record = self._record(b)
+        if mask & b_record[1]:
+            return    # every term of a /\ db repeats a dx index
+        scale = 1 if b.degree == 1 else _inverse(b.degree)
+        for dc, (d_exps, d_mask) in _d_terms(b_record):
+            if not mask & d_mask:
+                add(self._atom_at((tuple(map(operator.add, exps, d_exps)), mask | d_mask)),
+                    scale * (coeff * dc * _dx_sign(mask, d_mask)))
 
     def differential_atom(self, a: Generator) -> Element:
         out = Element()
         if self.exterior_differential:
-            for c, key in self._ext_d(self.key(a)):
-                out.add_term(self._atom_at(key), c)
+            for c, record in _d_terms(self._record(a)):
+                out.add_term(self._atom_at(record), c)
         return out
 
     @property
@@ -242,14 +276,14 @@ class FormsModel(AlgebraModel):
 
     # -- deterministic sampling -------------------------------------------------
 
-    def _sample_key(self, rng, form_degree, budget):
-        """The key of a monomial of the given form degree and polynomial
+    def _sample_record(self, rng, form_degree, budget):
+        """The record of a monomial of the given form degree and polynomial
         degree: one randrange per unit of budget, then a sample of dx indices."""
         n = self.n_coords
         exps = [0] * n
         for _ in range(budget):
             exps[rng.randrange(n)] += 1
-        return tuple(exps), tuple(sorted(rng.sample(range(1, n + 1), form_degree)))
+        return tuple(exps), _mask(rng.sample(range(1, n + 1), form_degree))
 
     def sample_form(self, rng, form_degree=None, max_poly_degree=3,
                     max_terms=3) -> Element:
@@ -259,16 +293,16 @@ class FormsModel(AlgebraModel):
             form_degree = rng.randint(0, self.n_coords)
         out = Element()
         for _ in range(rng.randint(1, max_terms)):
-            key = self._sample_key(rng, form_degree, rng.randint(0, max_poly_degree))
-            out.add_term(self._atom_at(key), rng.choice(_COEFFS))
+            record = self._sample_record(rng, form_degree, rng.randint(0, max_poly_degree))
+            out.add_term(self._atom_at(record), rng.choice(_COEFFS))
         if out.is_zero():
-            out = Element.single(self._atom_at(self._sample_key(rng, form_degree, 0)))
+            out = Element.single(self._atom_at(self._sample_record(rng, form_degree, 0)))
         return out
 
     def sample_atom(self, rng, form_degree=None, max_poly_degree=3) -> Generator:
         if form_degree is None:
             form_degree = rng.randint(0, self.n_coords)
-        return self._atom_at(self._sample_key(rng, form_degree, rng.randint(0, max_poly_degree)))
+        return self._atom_at(self._sample_record(rng, form_degree, rng.randint(0, max_poly_degree)))
 
 
 # ---------------------------------------------------------------------------

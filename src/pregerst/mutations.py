@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 class Patch(NamedTuple):
     module: str      # module of the package, e.g. "words"
-    function: str    # qualified name in it, e.g. "FormsModel.wedge_atoms"
+    function: str    # qualified name in it, e.g. "FormsModel._wedge_into"
     old: str         # snippet of the function's dedented source
     new: str
 
@@ -62,8 +62,8 @@ PATCHES = {
     # pre-Lie extension, in R) is antisymmetrised instead of symmetrised.
     "l2_sym_sign_flip": Patch("envelopes", "_lift", "scaled(swap)", "scaled(-swap)"),
     # the differential-forms wedge loses its 1/degree scalar.
-    "wedge_scale_drop": Patch("models", "FormsModel.wedge_atoms",
-                              "scale = 1 if b.degree == 1 else Fraction(1, b.degree)", "scale = 1"),
+    "wedge_scale_drop": Patch("models", "FormsModel._wedge_into",
+                              "scale = 1 if b.degree == 1 else _inverse(b.degree)", "scale = 1"),
     # the symmetric-word-to-pair-word embedding loses its Koszul signs.
     "embed_unsigned": Patch("words", "embed_sym_into_pair",
                             "sign = -1 if odd and moved else 1", "sign = 1"),

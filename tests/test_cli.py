@@ -170,6 +170,20 @@ def test_verify_out_file(tmp_path, capsys):
     assert target.read_text().count("\n") >= 3
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "compat", "--samples", "2"],
+    ["eval", "--op", "delta", "--expr", "1 * T(a,b)", "--gens", "a:1,b:2"],
+], ids=["verify", "eval"])
+def test_unwritable_out_file_is_no_verdict(args, tmp_path, capsys):
+    # exit 1 means a nonzero defect, so a missing directory must not read as one
+    target = tmp_path / "missing" / "r.txt"
+    code, out, err = run_cli(args + ["--out", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.parent.exists()
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "pregerst", "eval", "--op", "normalize",

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import itertools
 import random
 import warnings
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 
 import pregerst
 from pregerst.envelopes import EnvelopeContext, q_total
-from pregerst.errors import SchemaError
+from pregerst.errors import SchemaError, TermBudgetExceeded
 from pregerst.grading import BASE, Generator
 from pregerst.models import (
     AxiomId,
@@ -21,7 +22,7 @@ from pregerst.models import (
     axiom_defect,
 )
 from pregerst.mutations import mutant
-from pregerst.words import Element, Gen, Pair, Sym, Tensor, element_to_text
+from pregerst.words import Element, Gen, Pair, Sym, Tensor, element_to_text, get_term_cap, set_term_cap
 
 ALGEBRA_AXIOMS = [
     AxiomId.ZINBIEL, AxiomId.PRELIE, AxiomId.COMPAT_A, AxiomId.COMPAT_B,
@@ -123,6 +124,96 @@ def test_symmetrised_wedge_is_associative_and_commutative():
             rhs = model.dot(y, x).scaled(sign)
             assert lhs == rhs
             assert model.dot(model.dot(x, y), z) == model.dot(x, model.dot(y, z))
+
+
+# -- the textbook exterior algebra on (exps, sorted dx tuple) keys -----------
+
+def reference_ext_wedge(k1, k2):
+    """Exterior product of two monomial keys: (sign, key) or None."""
+    (e1, d1), (e2, d2) = k1, k2
+    if set(d1) & set(d2):
+        return None
+    crossings = 0
+    for i in d1:
+        for j in d2:
+            if j < i:
+                crossings += 1
+    sign = -1 if crossings & 1 else 1
+    exps = tuple(a + b for a, b in zip(e1, e2))
+    return sign, (exps, tuple(sorted(d1 + d2)))
+
+
+def reference_ext_d(n, key):
+    """Exterior derivative of a monomial key: list of (coeff, key)."""
+    exps, dxs = key
+    out = []
+    for i in range(1, n + 1):
+        e = exps[i - 1]
+        if e == 0 or i in dxs:
+            continue
+        before = sum(1 for j in dxs if j < i)
+        sign = -1 if before & 1 else 1
+        new_exps = tuple(x - 1 if j == i - 1 else x for j, x in enumerate(exps))
+        out.append((e * sign, (new_exps, tuple(sorted(dxs + (i,))))))
+    return out
+
+
+def reference_products(model, a, b):
+    """wedge_atoms, diamond_atoms and differential_atom(a) from the reference."""
+    n, ka, kb = model.n_coords, model.key(a), model.key(b)
+    wedge, diamond, d = Element(), Element(), Element()
+    scale = 1 if b.degree == 1 else Fraction(1, b.degree)
+    for dc, dk in reference_ext_d(n, kb):
+        res = reference_ext_wedge(ka, dk)
+        if res is not None:
+            wedge.add_term(model.atom(*res[1]), scale * dc * res[0])
+    res = reference_ext_wedge(ka, kb)
+    if res is not None:
+        diamond.add_term(model.atom(*res[1]), res[0])
+    for c, key in reference_ext_d(n, ka):
+        d.add_term(model.atom(*key), c)
+    return wedge, diamond, d
+
+
+def typed_terms(elem):
+    return [(k, c, type(c)) for k, c in elem.terms.items()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_products_match_the_textbook_exterior_algebra(n):
+    model = FormsModel(n, exterior_differential=True)
+    atoms = [model.atom(exps, dxs)
+             for exps in itertools.product(range(3), repeat=n)
+             for k in range(n + 1) for dxs in itertools.combinations(range(1, n + 1), k)]
+    # every atom once on the left, then seeded pairs up to 1500 in all
+    rng = random.Random(n)
+    pairs = [(a, rng.choice(atoms)) for a in atoms]
+    pairs += [(rng.choice(atoms), rng.choice(atoms)) for _ in range(1500 - len(pairs))]
+    for a, b in pairs:
+        wedge, diamond, d = reference_products(model, a, b)
+        assert typed_terms(model.wedge_atoms(a, b)) == typed_terms(wedge), (a, b)
+        assert typed_terms(model.diamond_atoms(a, b)) == typed_terms(diamond), (a, b)
+        assert typed_terms(model.differential_atom(a)) == typed_terms(d), a
+    # the sign reads the two masks alone, so no table sized by n holds it
+    big = FormsModel(64)
+    du1, du64 = big.atom((0,) * 64, (1,)), big.atom((0,) * 64, (64,))
+    assert element_to_text(big.diamond_atoms(du64, du1)) == "-1/1 * du1.du64"
+
+
+def test_model_products_keep_the_term_cap():
+    model = FormsModel(3)
+    u1, u2 = model.atom((1, 0, 0), ()), model.atom((0, 1, 0), ())
+    x, y = {u1: 1, u2: 2}, {model.atom((1, 1, 1), ()): 1}
+    cap = get_term_cap()
+    try:
+        set_term_cap(5)
+        with pytest.raises(TermBudgetExceeded,
+                           match="^intermediate element has 6 terms, exceeding the cap of 5$"):
+            model.wedge(x, y)
+        set_term_cap(6)
+        assert len(model.wedge(x, y)) == 6
+    finally:
+        set_term_cap(cap)
 
 
 def test_exterior_derivative_properties():

@@ -43,7 +43,9 @@ Each coproduct has a body on one word that reads the images it needs
 through a table keyed by all they read: a body's through _image, an
 embedding, a sym_insert or a mu through words._memo.  There is one table per
 public call, or one per law_defect call, so each image is computed once per
-distinct argument in the whole law.
+distinct argument in the whole law.  _extend_in applies delta_perm or kappa
+with a table of the caller's: coderivation_defect reads both its coproducts'
+images from one table.
 
 delta_perm, kappa_prime_sym and kappa assume that the symmetric words they
 split are in canonical order: the parts of a canonical tail are canonical
@@ -55,6 +57,7 @@ pattern.
 
 from __future__ import annotations
 
+import inspect
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
@@ -402,6 +405,21 @@ def kappa(elem: Element, view: GradingView = SHIFT2,
     A single-generator head with empty tail maps to zero.
     """
     return _extend({}, _kappa_word, elem, view, mu_legs)
+
+
+# The public coproducts on pair words by the bodies they extend, so that a
+# caller applying one several times can read all its images from one table.
+_PAIR_BODIES = {delta_perm: _delta_perm_word, kappa: _kappa_word}
+
+
+def _extend_in(images, coproduct, elem: Element) -> Element:
+    """coproduct(elem) at its defaults; delta_perm and kappa (past any
+    wrapper) read their images from the given table, and any other
+    coproduct is called as it is."""
+    body = _PAIR_BODIES.get(inspect.unwrap(coproduct))
+    if body is None:
+        return coproduct(elem)
+    return _extend(images, body, elem, SHIFT2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ An AlgebraModel supplies two operations on homogeneous atoms, each linear in
 both arguments: a wedge of base degree 0 (the Zinbiel candidate) and a
 diamond of base degree -1 (the pre-Lie-on-the-shift candidate), plus an
 optional differential.  A subclass supplies each as a kernel on atoms,
-_wedge_into(add, a, b, coeff) and _diamond_into(add, a, b, coeff), which adds
-coeff times the product of a and b (exact, over atoms) through add.  One
-bilinear loop runs a kernel on two atoms (wedge_atoms, diamond_atoms) or on
-any two mappings atom -> coefficient (wedge, diamond), so everything extends
-multilinearly and identities that hold for the underlying algebra hold
-termwise after expansion.
+_wedge_into(add, a, b, coeff, derived) and _diamond_into(add, a, b, coeff,
+derived), which adds coeff times the product of a and b (exact, over atoms)
+through add; derived is a dict of the one product call, where a kernel may
+keep what it derives from an atom (the forms wedge keeps the derivative of
+each right atom).  One bilinear loop runs a kernel on two atoms (wedge_atoms,
+diamond_atoms) or on any two mappings atom -> coefficient (wedge, diamond),
+so everything extends multilinearly and identities that hold for the
+underlying algebra hold termwise after expansion.
 
 FormsModel: exterior differential forms with polynomial coefficients over
 the rationals in n variables.  A monomial atom is u^a dx_I with base degree
@@ -50,19 +52,21 @@ def _element(a) -> Element:
 
 def _bilinear(kernel, left, right) -> Element:
     """The element of kernel over every pair of terms (atom, coefficient) of
-    left and right, each pair's coefficients multiplied into one."""
+    left and right, each pair's coefficients multiplied into one; the kernel
+    shares one dict for what it derives across the call."""
     out = Element()
     add = out.add_term
+    derived = {}
     for k1, c1 in left:
         for k2, c2 in right:
-            kernel(add, k1, k2, c1 * c2)
+            kernel(add, k1, k2, c1 * c2, derived)
     return out
 
 
 class AlgebraModel:
     """Base interface; subclasses supply the kernels _wedge_into(add, a, b,
-    coeff) and _diamond_into(add, a, b, coeff), and may override the zero
-    differential."""
+    coeff, derived) and _diamond_into(add, a, b, coeff, derived), and may
+    override the zero differential."""
 
     def differential_atom(self, a: Generator) -> Element:
         return Element()
@@ -113,10 +117,10 @@ class AlgebraModel:
 class FormalModel(AlgebraModel):
     """The free operations: each product of two atoms is one fresh atom."""
 
-    def _wedge_into(self, add, a: Generator, b: Generator, coeff):
+    def _wedge_into(self, add, a: Generator, b: Generator, coeff, derived):
         add(Generator("(%s^%s)" % (a.name, b.name), a.degree + b.degree), coeff)
 
-    def _diamond_into(self, add, a: Generator, b: Generator, coeff):
+    def _diamond_into(self, add, a: Generator, b: Generator, coeff, derived):
         add(Generator("(%s<>%s)" % (a.name, b.name), a.degree + b.degree - 1), coeff)
 
 
@@ -245,20 +249,23 @@ class FormsModel(AlgebraModel):
 
     # -- the model operations --------------------------------------------------
 
-    def _diamond_into(self, add, a: Generator, b: Generator, coeff):
+    def _diamond_into(self, add, a: Generator, b: Generator, coeff, derived):
         exps, mask = self._record(a)
         b_exps, b_mask = self._record(b)
         if not mask & b_mask:
             add(self._atom_at((tuple(map(operator.add, exps, b_exps)), mask | b_mask)),
                 coeff * _dx_sign(mask, b_mask))
 
-    def _wedge_into(self, add, a: Generator, b: Generator, coeff):
+    def _wedge_into(self, add, a: Generator, b: Generator, coeff, derived):
         exps, mask = self._record(a)
         b_record = self._record(b)
         if mask & b_record[1]:
             return    # every term of a /\ db repeats a dx index
         scale = 1 if b.degree == 1 else _inverse(b.degree)
-        for dc, (d_exps, d_mask) in _d_terms(b_record):
+        d_terms = derived.get(b)      # db, once per right atom of the call
+        if d_terms is None:
+            d_terms = derived[b] = _d_terms(b_record)
+        for dc, (d_exps, d_mask) in d_terms:
             if not mask & d_mask:
                 add(self._atom_at((tuple(map(operator.add, exps, d_exps)), mask | d_mask)),
                     scale * (coeff * dc * _dx_sign(mask, d_mask)))

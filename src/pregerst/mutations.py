@@ -60,7 +60,8 @@ PATCHES = {
     "zinf_q2_sign_drop": Patch("envelopes", "_q2_wedge", "return -product", "return product"),
     # the lift's binary part on two tail factors (l2, the symmetrised shifted
     # pre-Lie extension, in R) is antisymmetrised instead of symmetrised.
-    "l2_sym_sign_flip": Patch("envelopes", "_lift", "scaled(swap)", "scaled(-swap)"),
+    "l2_sym_sign_flip": Patch("envelopes", "_symmetrised", "add(w, c * swap)",
+                              "add(w, c * -swap)"),
     # the differential-forms wedge loses its 1/degree scalar.
     "wedge_scale_drop": Patch("models", "FormsModel._wedge_into",
                               "scale = 1 if b.degree == 1 else _inverse(b.degree)", "scale = 1"),

@@ -59,11 +59,14 @@ the cap against both.  Only the terms that survive become Tensor words.
 The code tables, like the sign tables, hold operator data only and are
 lru_caches, so mutant clears them.
 
-One memo kernel.  _memo(table, fn, *args) computes fn(*args) once per table
-and keeps it under (fn,) + args; every image table of the package goes
-through it: the coproducts' embeddings, sym_inserts and mus, cosplit_leg's
-images, the envelope images of an EnvelopeContext and coderivation_defect's
-images of Q.  A stored image is read, never copied or changed.
+Memo kernels.  _memo(table, fn, *args) computes fn(*args) once per table
+and keeps it under (fn,) + args; the tables of one call go through it (the
+coproducts' embeddings, sym_inserts and mus, cosplit_leg's images and
+coderivation_defect's images of Q), and an abort discards such a table
+whole.  The two tables of an EnvelopeContext outlive a call, so their images
+are stored through _store(table, key, fn, args), which keeps fn(*args) under
+the key its caller builds and, if fn raises, pops what fn stored on the way.
+A stored image is read, never copied or changed.
 
 Text.  word_to_text prints a word in the T(...), S(...), P(...; ...) grammar
 and is every word's repr.  element_to_text prints 'p/q * word' terms in
@@ -483,12 +486,28 @@ class Element:
 
 def _memo(table, fn, *args):
     """fn(*args), once per table: kept under the key (fn,) + args, and stored
-    only once fn returns, so an aborted fn stores nothing.  A caller reads
-    what it gets and never changes it."""
+    only once fn returns.  A caller reads what it gets and never changes it.
+    For a table of one call, which an abort discards whole."""
     key = (fn,) + args
     found = table.get(key)
     if found is None:
         found = table[key] = fn(*args)
+    return found
+
+
+def _store(table, key, fn, args):
+    """Store fn(*args) in table under key and return it, for a table that
+    outlives a call.  If fn raises, the entries it added to the table on the
+    way (images it read and stored first) are popped, newest first, so an
+    aborted fn leaves the table exactly as it was."""
+    size = len(table)
+    try:
+        found = fn(*args)
+    except BaseException:
+        while len(table) > size:
+            table.popitem()
+        raise
+    table[key] = found
     return found
 
 

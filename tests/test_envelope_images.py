@@ -1,8 +1,9 @@
-"""The images of D and r2 kept on an EnvelopeContext: one computation per
-distinct argument, read and never changed, keyed without the context,
-nothing kept from an aborted computation, one context per suite instance,
-and emptied by mutant; and coderivation_defect's images of Q, one per
-distinct leg word."""
+"""The images kept on an EnvelopeContext (D and r2 on words, the lift's slot
+images and the atom products): one computation per distinct argument, read
+and never changed, keyed without the context, nothing kept from an aborted
+computation, one context per suite instance, and emptied by mutant; and
+coderivation_defect's table, with one image of Q per distinct leg word and
+one embedding per distinct tail across both coproducts."""
 
 import gc
 import random
@@ -11,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from pregerst import envelopes, words
+from pregerst import cooperations, envelopes, words
 from pregerst.cooperations import delta_perm, kappa
 from pregerst.envelopes import (
     EnvelopeContext,
@@ -61,8 +62,7 @@ def rand_pair(model, rng):
 
 def counting(monkeypatch, name):
     """Replace the private envelopes.<name> by a wrapper that counts its
-    calls per argument tuple, its first argument (a model or a context) left
-    out."""
+    calls per argument tuple, its first argument (a context) left out."""
     fn = getattr(envelopes, name)
     calls = Counter()
 
@@ -73,28 +73,41 @@ def counting(monkeypatch, name):
     return calls
 
 
+# the bodies stored in ctx.images and in ctx.products
+IMAGE_BODIES = ("_r2_words", "_zinfinity_d_word", "_r2_shifted", "_symmetrised",
+                "_d_atom", "_diamond_shifted")
+PRODUCT_BODIES = ("_diamond", "_bracket_atoms", "_q2_wedge")
+
+
 def test_each_body_runs_once_per_distinct_argument_per_context(monkeypatch):
-    r2_calls = counting(monkeypatch, "_r2_words")
-    d_calls = counting(monkeypatch, "_zinfinity_d_word")
-    r2_reads = counting(monkeypatch, "_r2_image")
+    image_calls = [counting(monkeypatch, name) for name in IMAGE_BODIES]
+    product_calls = [counting(monkeypatch, name) for name in PRODUCT_BODIES]
+    reads = counting(monkeypatch, "_image")
     model = FormsModel(2)
     rng = random.Random(4417)
     cop = lambda e: delta_perm(e, SHIFT2)
     contexts = computed = read = 0
+    seen = Counter()
     while contexts < 8:
         elem = rand_pair(model, rng)
         if elem is None:
             continue
         contexts += 1
         ctx = EnvelopeContext(model)
-        for calls in (r2_calls, d_calls, r2_reads):
+        for calls in image_calls + product_calls + [reads]:
             calls.clear()
         assert coderivation_defect(ctx, q_total, cop, 0, elem).is_zero()
         assert q_total(ctx, q_total(ctx, elem)).is_zero()
-        assert set(r2_calls.values()) <= {1} and set(d_calls.values()) <= {1}
-        assert len(r2_calls) + len(d_calls) == len(ctx.images)
-        computed += len(r2_calls)
-        read += sum(r2_reads.values())
+        for calls in image_calls + product_calls:
+            assert set(calls.values()) <= {1}
+        assert sum(map(len, image_calls)) == len(ctx.images)
+        assert sum(map(len, product_calls)) == len(ctx.products)
+        seen.update(name for name, calls in zip(IMAGE_BODIES + PRODUCT_BODIES,
+                                                image_calls + product_calls) if calls)
+        computed += len(ctx.images)
+        read += sum(reads.values())
+    # Q reaches every body but those of the atom envelopes
+    assert set(seen) == set(IMAGE_BODIES + PRODUCT_BODIES) - {"_d_atom", "_diamond_shifted"}
     # the images were read more often than they were computed
     assert read > 2 * computed > 0
 
@@ -145,19 +158,24 @@ def test_stored_images_are_read_never_changed():
     model = FormsModel(2)
     ctx = EnvelopeContext(model)
     every_public_map_and_checker(ctx, model, random.Random(6021))
-    stored = dict(ctx.images)
-    snapshot = {key: dict(image.terms) for key, image in stored.items()}
-    assert len(snapshot) > 100
+    tables = (ctx.images, ctx.products)
+    stored = [dict(table) for table in tables]
+    snapshot = [{key: dict(image.terms) for key, image in table.items()} for table in stored]
+    assert len(snapshot[0]) > 100 and len(snapshot[1]) > 20
     # a caller that changes every result it gets changes nothing stored
     for result in every_public_map_and_checker(ctx, model, random.Random(6021)):
         result.terms.clear()
-    assert ctx.images == stored
-    assert all(ctx.images[key] is image for key, image in stored.items())
-    assert {key: image.terms for key, image in ctx.images.items()} == snapshot
+    for table, before, terms in zip(tables, stored, snapshot):
+        assert table == before
+        assert all(table[key] is image for key, image in before.items())
+        assert {key: image.terms for key, image in table.items()} == terms
     # every key is (body, model, arguments), and none holds a context
-    assert {key[:2] for key in ctx.images} == {(envelopes._r2_words, model),
-                                               (envelopes._zinfinity_d_word, model)}
-    assert not any(isinstance(part, EnvelopeContext) for key in ctx.images for part in key)
+    assert {key[:2] for key in ctx.images} == {
+        (getattr(envelopes, name), model) for name in IMAGE_BODIES}
+    assert {key[:2] for key in ctx.products} == {
+        (getattr(envelopes, name), model) for name in PRODUCT_BODIES}
+    assert not any(isinstance(part, EnvelopeContext)
+                   for table in tables for key in table for part in key)
 
 
 def test_a_term_cap_abort_leaves_no_entry():
@@ -178,6 +196,27 @@ def test_a_term_cap_abort_leaves_no_entry():
     assert len(_r2_image(ctx, x, y)) > 1 and len(_d_image(ctx, w)) > 1
     assert set(ctx.images) == {(envelopes._r2_words, model, x, y),
                                (envelopes._zinfinity_d_word, model, w)}
+
+
+def test_an_aborted_image_pops_the_images_it_stored_first():
+    model = FormsModel(2)
+    u1, u2 = Gen(model.atom((1, 0), ())), Gen(model.atom((0, 1), ()))
+    x, y = Tensor((u1, u2)), Tensor((u2, u1, u1))
+    ctx = EnvelopeContext(model)
+    _d_image(ctx, y)
+
+    def reads_then_aborts(ctx, x, y):
+        # a slot body that reads and stores two images, then hits the cap
+        _r2_image(ctx, x, y)
+        _d_image(ctx, x)
+        raise TermBudgetExceeded(2, 1)
+    before = dict(ctx.images)
+    with pytest.raises(TermBudgetExceeded):
+        envelopes._image(ctx, reads_then_aborts, x, y)
+    assert list(ctx.images.items()) == list(before.items())
+    # the same reads outside an aborted body are kept
+    _r2_image(ctx, x, y)
+    assert len(ctx.images) == len(before) + 1
 
 
 def test_coderivation_defect_applies_q_once_per_distinct_leg_word():
@@ -203,6 +242,29 @@ def test_coderivation_defect_applies_q_once_per_distinct_leg_word():
         assert set(applied) == {w for key in legs for w in key}
         shared += bool({k[0] for k in legs} & {k[1] for k in legs})
     assert shared >= 3
+
+
+def test_coderivation_defect_embeds_each_tail_once_per_call(monkeypatch):
+    embed = cooperations.embed_sym_into_pair
+    calls = Counter()
+
+    def counted(word, view):
+        calls[word, view] += 1
+        return embed(word, view)
+    monkeypatch.setattr(cooperations, "embed_sym_into_pair", counted)
+    model = FormsModel(2)
+    rng = random.Random(3141)
+    embedded = 0
+    for _ in range(20):
+        elem = rand_pair(model, rng)
+        if elem is None:
+            continue
+        for cop, cop_degree in ((delta_perm, 0), (kappa, 1)):
+            calls.clear()
+            coderivation_defect(EnvelopeContext(model), q_total, cop, cop_degree, elem)
+            assert set(calls.values()) <= {1}
+            embedded += len(calls)
+    assert embedded > 100
 
 
 def test_a_context_dies_with_its_last_reference():

@@ -200,6 +200,33 @@ def test_products_match_the_textbook_exterior_algebra(n):
     assert element_to_text(big.diamond_atoms(du64, du1)) == "-1/1 * du1.du64"
 
 
+def test_wedge_derives_each_right_atom_once_per_call(monkeypatch):
+    from pregerst import models
+
+    model = FormsModel(3)
+    rng = random.Random(909)
+    derived = []
+
+    def counted(record):
+        derived.append(record)
+        return d_terms(record)
+    d_terms = models._d_terms
+    monkeypatch.setattr(models, "_d_terms", counted)
+    for _ in range(30):
+        x = model.sample_form(rng, max_terms=4)
+        y = model.sample_form(rng, max_terms=4)
+        derived.clear()
+        product = model.wedge(x, y)
+        assert len(derived) == len(set(derived)) <= len(y)
+        # the multilinear extension of the atom products
+        expected = Element()
+        for a, ca in x.items():
+            for b, cb in y.items():
+                for g, c in model.wedge_atoms(a, b).items():
+                    expected.add_term(g, ca * cb * c)
+        assert product == expected
+
+
 def test_model_products_keep_the_term_cap():
     model = FormsModel(3)
     u1, u2 = model.atom((1, 0, 0), ()), model.atom((0, 1, 0), ())

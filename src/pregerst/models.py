@@ -3,15 +3,13 @@ r"""Concrete graded algebras plugged into the coalgebraic machinery.
 An AlgebraModel supplies two operations on homogeneous atoms, each linear in
 both arguments: a wedge of base degree 0 (the Zinbiel candidate) and a
 diamond of base degree -1 (the pre-Lie-on-the-shift candidate), plus an
-optional differential.  A subclass supplies each as a kernel on atoms,
-_wedge_into(add, a, b, coeff, derived) and _diamond_into(add, a, b, coeff,
-derived), which adds coeff times the product of a and b (exact, over atoms)
-through add; derived is a dict of the one product call, where a kernel may
-keep what it derives from an atom (the forms wedge keeps the derivative of
-each right atom).  One bilinear loop runs a kernel on two atoms (wedge_atoms,
-diamond_atoms) or on any two mappings atom -> coefficient (wedge, diamond),
-so everything extends multilinearly and identities that hold for the
-underlying algebra hold termwise after expansion.
+optional differential d.  A subclass supplies each as a whole-operand kernel,
+_wedge_into(acc, left, right, coeff), _diamond_into(acc, left, right, coeff)
+and _d_into(acc, operand, coeff), which adds coeff times the product of two
+mappings atom -> coefficient (or d of one) into the dict acc, exact, with
+the term cap checked on each new key.  Every public product is its kernel on
+two atoms (wedge_atoms, diamond_atoms) or two elements (wedge, diamond), so
+identities that hold for the underlying algebra hold termwise.
 
 FormsModel: exterior differential forms with polynomial coefficients over
 the rationals in n variables.  A monomial atom is u^a dx_I with base degree
@@ -20,14 +18,20 @@ plain exterior product.  The exterior derivative derives both with the signs
 admit_differential checks, d(x^y) = dx^y + (-1)^{|x|} x^dy and, the diamond
 having degree -1, d(x<>y) = dx<>y + (-1)^{|x|-1} x<>dy; it is installed only
 when asked for (exterior_differential=True), so the suites run with d = 0.
+Its kernels read each atom's record from the model's table and derive each
+right atom of the wedge once per call.
 
 FormalModel: the free operations, d = 0.  a^b and a<>b are each one fresh
 atom, '(a^b)' of degree |a|+|b| and '(a<>b)' of degree |a|+|b|-1, so a
 coderivation law that holds here holds for any operations, and axiom_defect
 returns the axiom's relation itself.
 
-axiom_defect evaluates one algebra axiom on a pair or triple of homogeneous
-elements and returns the exact defect.
+Axioms.  _AXIOMS holds each axiom as a row of signed sides: its arity and,
+per side, a sign exponent in the base degrees of the arguments and a
+composition tree over the wedge, the diamond and d, with the bracket and the
+dot expanded by their definitions.  axiom_defect runs the one evaluator,
+words._relation_defect, on the row and the model's kernels; bracket and dot
+are rows too.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from functools import lru_cache
 
 from .errors import SchemaError
 from .grading import BASE, Generator
-from .words import Element
+from .words import Element, _add_term, _relation_defect, _relation_row
 
 
 _COEFFS = (-3, -2, -1, 1, 2, 3)    # sample_form's coefficients
@@ -50,78 +54,75 @@ def _element(a) -> Element:
     return a if type(a) is Element else Element(a)
 
 
-def _bilinear(kernel, left, right) -> Element:
-    """The element of kernel over every pair of terms (atom, coefficient) of
-    left and right, each pair's coefficients multiplied into one; the kernel
-    shares one dict for what it derives across the call."""
+def _apply(kernel, *operands) -> Element:
     out = Element()
-    add = out.add_term
-    derived = {}
-    for k1, c1 in left:
-        for k2, c2 in right:
-            kernel(add, k1, k2, c1 * c2, derived)
+    kernel(out.terms, *operands, 1)
     return out
 
 
 class AlgebraModel:
-    """Base interface; subclasses supply the kernels _wedge_into(add, a, b,
-    coeff, derived) and _diamond_into(add, a, b, coeff, derived), and may
-    override the zero differential."""
+    """Base interface; subclasses supply the kernels _wedge_into(acc, left,
+    right, coeff) and _diamond_into(acc, left, right, coeff), and may
+    override the zero differential's kernel _d_into(acc, operand, coeff)."""
 
-    def differential_atom(self, a: Generator) -> Element:
-        return Element()
+    def _d_into(self, acc, operand, coeff):
+        pass
 
     @property
     def has_differential(self) -> bool:
         return False
 
+    # the atom pairs the envelope bodies read, so no helper call on the way
     def wedge_atoms(self, a: Generator, b: Generator) -> Element:
-        return _bilinear(self._wedge_into, ((a, 1),), ((b, 1),))
+        out = Element()
+        self._wedge_into(out.terms, {a: 1}, {b: 1}, 1)
+        return out
 
     def diamond_atoms(self, a: Generator, b: Generator) -> Element:
-        return _bilinear(self._diamond_into, ((a, 1),), ((b, 1),))
+        out = Element()
+        self._diamond_into(out.terms, {a: 1}, {b: 1}, 1)
+        return out
+
+    def differential_atom(self, a: Generator) -> Element:
+        return _apply(self._d_into, {a: 1})
 
     # extensions of the atom-level operations
     def wedge(self, a, b) -> Element:
-        return _bilinear(self._wedge_into, _element(a).terms.items(), _element(b).terms.items())
+        return _apply(self._wedge_into, _element(a).terms, _element(b).terms)
 
     def diamond(self, a, b) -> Element:
-        return _bilinear(self._diamond_into, _element(a).terms.items(), _element(b).terms.items())
+        return _apply(self._diamond_into, _element(a).terms, _element(b).terms)
 
     def differential(self, a) -> Element:
-        return _element(a).map_words(self.differential_atom)
+        return _apply(self._d_into, _element(a).terms)
 
     def bracket(self, a, b) -> Element:
         """a<>b - (-1)^{(|a|-1)(|b|-1)} b<>a, always expanded through diamond."""
-        a, b = _element(a), _element(b)
-        if a.is_zero() or b.is_zero():
-            return Element()
-        da, db = a.homogeneous_degree(BASE), b.homogeneous_degree(BASE)
-        if da is None or db is None:
-            raise SchemaError("bracket needs homogeneous arguments")
-        sign = -1 if ((da - 1) & 1 and (db - 1) & 1) else 1
-        return self.diamond(a, b) - self.diamond(b, a).scaled(sign)
+        return _relation(self, "bracket", _BRACKET, (a, b))
 
     def dot(self, a, b) -> Element:
         """Symmetrised wedge a.b = a^b + (-1)^{|a||b|} b^a."""
-        a, b = _element(a), _element(b)
-        if a.is_zero() or b.is_zero():
-            return Element()
-        da, db = a.homogeneous_degree(BASE), b.homogeneous_degree(BASE)
-        if da is None or db is None:
-            raise SchemaError("dot needs homogeneous arguments")
-        sign = -1 if (da & 1 and db & 1) else 1
-        return self.wedge(a, b) + self.wedge(b, a).scaled(sign)
+        return _relation(self, "dot", _DOT, (a, b))
 
 
 class FormalModel(AlgebraModel):
     """The free operations: each product of two atoms is one fresh atom."""
 
-    def _wedge_into(self, add, a: Generator, b: Generator, coeff, derived):
-        add(Generator("(%s^%s)" % (a.name, b.name), a.degree + b.degree), coeff)
+    def _wedge_into(self, acc, left, right, coeff):
+        _free_into(acc, left, right, coeff, "(%s^%s)", 0)
 
-    def _diamond_into(self, add, a: Generator, b: Generator, coeff, derived):
-        add(Generator("(%s<>%s)" % (a.name, b.name), a.degree + b.degree - 1), coeff)
+    def _diamond_into(self, acc, left, right, coeff):
+        _free_into(acc, left, right, coeff, "(%s<>%s)", -1)
+
+
+def _free_into(acc, left, right, coeff, form, shift):
+    """Add coeff times the free product of left and right, one fresh atom
+    named form % (a, b) of degree |a| + |b| + shift per atom pair."""
+    right = right.items()
+    for a, ca in left.items():
+        ca *= coeff
+        for b, cb in right:
+            _add_term(acc, Generator(form % (a.name, b.name), a.degree + b.degree + shift), ca * cb)
 
 
 @lru_cache(maxsize=None)
@@ -163,6 +164,48 @@ def _d_terms(record):
     return out
 
 
+def _name(exps, dxs) -> str:
+    parts = []
+    for i, e in enumerate(exps, start=1):
+        parts.extend(["u%d" % i] * e)
+    parts.extend("du%d" % i for i in dxs)
+    return ".".join(parts) if parts else "one"
+
+
+class _Records(dict):
+    """A forms model's table atom -> record.  A missing atom is read from its
+    name, which is self-describing, so atoms travel between model instances;
+    the key is the whole atom, so a hit also vouches for the degree."""
+
+    __slots__ = ("n_coords",)
+
+    def __init__(self, n_coords: int):
+        super().__init__()
+        self.n_coords = n_coords
+
+    def __missing__(self, gen: Generator):
+        exps = [0] * self.n_coords
+        dxs = []
+        if gen.name != "one":
+            for part in gen.name.split("."):
+                is_dx = part.startswith("du")
+                index = part[2:] if is_dx else part[1:] if part.startswith("u") else ""
+                if not index.isdecimal() or not 1 <= int(index) <= self.n_coords:
+                    raise SchemaError("atom %r does not belong to a forms model on %d coordinates"
+                                      % (gen.name, self.n_coords))
+                if is_dx:
+                    dxs.append(int(index))
+                else:
+                    exps[int(index) - 1] += 1
+        exps = tuple(exps)
+        if len(set(dxs)) != len(dxs) or _name(exps, sorted(dxs)) != gen.name:
+            raise SchemaError("atom %r is not the canonical name of a monomial" % gen.name)
+        if len(dxs) + 1 != gen.degree:
+            raise SchemaError("atom %r has inconsistent degree" % gen.name)
+        record = self[gen] = (exps, _mask(dxs))
+        return record
+
+
 class FormsModel(AlgebraModel):
     """Polynomial-coefficient exterior forms on n coordinates over Q.
 
@@ -178,7 +221,7 @@ class FormsModel(AlgebraModel):
             raise ValueError("need at least one coordinate")
         self.n_coords = n_coords
         self.exterior_differential = exterior_differential
-        self._records = {}  # atom -> monomial record
+        self._records = _Records(n_coords)   # atom -> monomial record
         self._atoms = {}    # monomial record -> atom
 
     # -- monomial plumbing ---------------------------------------------------
@@ -196,7 +239,7 @@ class FormsModel(AlgebraModel):
         if len(set(dxs)) != len(dxs):
             raise ValueError("repeated dx index: the form is zero, not a monomial")
         dxs = tuple(sorted(dxs))
-        gen = Generator(self._name(exps, dxs), len(dxs) + 1)
+        gen = Generator(_name(exps, dxs), len(dxs) + 1)
         self._records[gen] = (exps, _mask(dxs))
         return gen
 
@@ -207,75 +250,50 @@ class FormsModel(AlgebraModel):
             gen = self._atoms[record] = self.atom(record[0], _indices(record[1]))
         return gen
 
-    @staticmethod
-    def _name(exps, dxs) -> str:
-        parts = []
-        for i, e in enumerate(exps, start=1):
-            parts.extend(["u%d" % i] * e)
-        parts.extend("du%d" % i for i in dxs)
-        return ".".join(parts) if parts else "one"
-
     def key(self, gen: Generator):
         """The canonical key of an atom: its exponent tuple and sorted dx indices."""
-        exps, mask = self._record(gen)
+        exps, mask = self._records[gen]
         return exps, _indices(mask)
-
-    def _record(self, gen: Generator):
-        # keyed by the whole atom, so a hit also vouches for the degree
-        record = self._records.get(gen)
-        if record is not None:
-            return record
-        # names are self-describing, so atoms travel between model instances
-        exps = [0] * self.n_coords
-        dxs = []
-        if gen.name != "one":
-            for part in gen.name.split("."):
-                is_dx = part.startswith("du")
-                index = part[2:] if is_dx else part[1:] if part.startswith("u") else ""
-                if not index.isdecimal() or not 1 <= int(index) <= self.n_coords:
-                    raise SchemaError("atom %r does not belong to a forms model on %d coordinates"
-                                      % (gen.name, self.n_coords))
-                if is_dx:
-                    dxs.append(int(index))
-                else:
-                    exps[int(index) - 1] += 1
-        exps = tuple(exps)
-        if len(set(dxs)) != len(dxs) or self._name(exps, sorted(dxs)) != gen.name:
-            raise SchemaError("atom %r is not the canonical name of a monomial" % gen.name)
-        if len(dxs) + 1 != gen.degree:
-            raise SchemaError("atom %r has inconsistent degree" % gen.name)
-        record = self._records[gen] = (exps, _mask(dxs))
-        return record
 
     # -- the model operations --------------------------------------------------
 
-    def _diamond_into(self, add, a: Generator, b: Generator, coeff, derived):
-        exps, mask = self._record(a)
-        b_exps, b_mask = self._record(b)
-        if not mask & b_mask:
-            add(self._atom_at((tuple(map(operator.add, exps, b_exps)), mask | b_mask)),
-                coeff * _dx_sign(mask, b_mask))
+    def _diamond_into(self, acc, left, right, coeff):
+        records, atoms = self._records, self._atoms
+        right = right.items()
+        for a, ca in left.items():
+            exps, mask = records[a]
+            ca *= coeff
+            for b, cb in right:
+                b_exps, b_mask = records[b]
+                if not mask & b_mask:
+                    key = (tuple(map(operator.add, exps, b_exps)), mask | b_mask)
+                    _add_term(acc, atoms.get(key) or self._atom_at(key),
+                              ca * cb * _dx_sign(mask, b_mask))
 
-    def _wedge_into(self, add, a: Generator, b: Generator, coeff, derived):
-        exps, mask = self._record(a)
-        b_record = self._record(b)
-        if mask & b_record[1]:
-            return    # every term of a /\ db repeats a dx index
-        scale = 1 if b.degree == 1 else _inverse(b.degree)
-        d_terms = derived.get(b)      # db, once per right atom of the call
-        if d_terms is None:
-            d_terms = derived[b] = _d_terms(b_record)
-        for dc, (d_exps, d_mask) in d_terms:
-            if not mask & d_mask:
-                add(self._atom_at((tuple(map(operator.add, exps, d_exps)), mask | d_mask)),
-                    scale * (coeff * dc * _dx_sign(mask, d_mask)))
+    def _wedge_into(self, acc, left, right, coeff):
+        records, atoms = self._records, self._atoms
+        left = left.items()
+        for b, cb in right.items():
+            b_record = records[b]
+            d_terms = None      # db, derived once per call, when first needed
+            for a, ca in left:
+                exps, mask = records[a]
+                if mask & b_record[1]:
+                    continue    # every term of a /\ db repeats a dx index
+                if d_terms is None:
+                    scale = 1 if b.degree == 1 else _inverse(b.degree)
+                    d_terms = _d_terms(b_record)
+                for dc, (d_exps, d_mask) in d_terms:
+                    if not mask & d_mask:
+                        key = (tuple(map(operator.add, exps, d_exps)), mask | d_mask)
+                        _add_term(acc, atoms.get(key) or self._atom_at(key),
+                                  scale * (ca * cb * (coeff * dc * _dx_sign(mask, d_mask))))
 
-    def differential_atom(self, a: Generator) -> Element:
-        out = Element()
+    def _d_into(self, acc, operand, coeff):
         if self.exterior_differential:
-            for c, record in _d_terms(self._record(a)):
-                out.add_term(self._atom_at(record), c)
-        return out
+            for a, ca in operand.items():
+                for c, record in _d_terms(self._records[a]):
+                    _add_term(acc, self._atoms.get(record) or self._atom_at(record), coeff * ca * c)
 
     @property
     def has_differential(self) -> bool:
@@ -331,76 +349,90 @@ class AxiomId(Enum):
     D_DERIV_DIAMOND = "d_deriv_diamond"
 
 
-def _sign(exp: int) -> int:
-    return -1 if exp & 1 else 1
+# Each row: an arity and its sides (sign exponent in the base degrees, tree
+# over the wedge, the diamond and d), the bracket and the dot expanded as
+# [a, b] = a<>b - (-1)^{(|a|-1)(|b|-1)} b<>a and a.b = a^b + (-1)^{|a||b|} b^a.
+_W, _M, _D = "wedge", "diamond", "d"
+_PLUS, _MINUS = (lambda *degs: 0), (lambda *degs: 1)
+_BRACKET = _relation_row(2, ((_PLUS, (_M, 0, 1)), (lambda a, b: 1 + (a - 1) * (b - 1), (_M, 1, 0))))
+_DOT = _relation_row(2, ((_PLUS, (_W, 0, 1)), (lambda a, b: a * b, (_W, 1, 0))))
+_AXIOMS = {
+    AxiomId.ZINBIEL: _relation_row(3, (
+        (_PLUS, (_W, (_W, 0, 1), 2)),
+        (_MINUS, (_W, 0, (_W, 1, 2))),
+        (lambda x, y, z: 1 + y * z, (_W, 0, (_W, 2, 1))))),
+    AxiomId.PRELIE: _relation_row(3, (
+        (_PLUS, (_M, (_M, 0, 1), 2)),
+        (_MINUS, (_M, 0, (_M, 1, 2))),
+        (lambda x, y, z: 1 + (y - 1) * (z - 1), (_M, (_M, 0, 2), 1)),
+        (lambda x, y, z: (y - 1) * (z - 1), (_M, 0, (_M, 2, 1))))),
+    AxiomId.COMPAT_A: _relation_row(3, (
+        (_PLUS, (_W, 0, (_M, 1, 2))),
+        (lambda x, y, z: 1 + (y - 1) * (z - 1), (_W, 0, (_M, 2, 1))))),
+    AxiomId.COMPAT_B: _relation_row(3, (
+        (_PLUS, (_M, 0, (_W, 1, 2))),
+        (_MINUS, (_W, (_M, 0, 1), 2)))),
+    AxiomId.COMPAT_C: _relation_row(3, (
+        (_PLUS, (_W, (_M, 0, 1), 2)),
+        (lambda x, y, z: 1 + (y - 1) * z, (_M, (_W, 0, 2), 1)))),
+    # [x, y^z] - [x, y]^z
+    AxiomId.DERIVED_2: _relation_row(3, (
+        (_PLUS, (_M, 0, (_W, 1, 2))),
+        (lambda x, y, z: 1 + (x - 1) * (y + z - 1), (_M, (_W, 1, 2), 0)),
+        (_MINUS, (_W, (_M, 0, 1), 2)),
+        (lambda x, y, z: (x - 1) * (y - 1), (_W, (_M, 1, 0), 2)))),
+    # [x, y.z] - [x, y].z - (-1)^{|y|(|x|-1)} y.[x, z]
+    AxiomId.LEIBNIZ_GERST: _relation_row(3, (
+        (_PLUS, (_M, 0, (_W, 1, 2))),
+        (lambda x, y, z: y * z, (_M, 0, (_W, 2, 1))),
+        (lambda x, y, z: 1 + (x - 1) * (y + z - 1), (_M, (_W, 1, 2), 0)),
+        (lambda x, y, z: 1 + (x - 1) * (y + z - 1) + y * z, (_M, (_W, 2, 1), 0)),
+        (_MINUS, (_W, (_M, 0, 1), 2)),
+        (lambda x, y, z: (x - 1) * (y - 1), (_W, (_M, 1, 0), 2)),
+        (lambda x, y, z: 1 + (x + y - 1) * z, (_W, 2, (_M, 0, 1))),
+        (lambda x, y, z: (x + y - 1) * z + (x - 1) * (y - 1), (_W, 2, (_M, 1, 0))),
+        (lambda x, y, z: 1 + y * (x - 1), (_W, 1, (_M, 0, 2))),
+        (lambda x, y, z: y * (x - 1) + (x - 1) * (z - 1), (_W, 1, (_M, 2, 0))),
+        (lambda x, y, z: 1 + y * z, (_W, (_M, 0, 2), 1)),
+        (lambda x, y, z: y * z + (x - 1) * (z - 1), (_W, (_M, 2, 0), 1)))),
+    # [x, y]^z = x<>(y^z) - (-1)^{(|x|-1)(|y|-1)} y<>(x^z); the second term
+    # follows from compat B and C (expand the bracket, rewrite each
+    # (..<>..)^z through compat C, then pull the wedge inside with B).
+    AxiomId.AGUIAR_1: _relation_row(3, (
+        (_PLUS, (_W, (_M, 0, 1), 2)),
+        (lambda x, y, z: 1 + (x - 1) * (y - 1), (_W, (_M, 1, 0), 2)),
+        (_MINUS, (_M, 0, (_W, 1, 2))),
+        (lambda x, y, z: (x - 1) * (y - 1), (_M, 1, (_W, 0, 2))))),
+    # (x.y)<>z = (-1)^{(|z|-1)|y|} x<>(z^y) + (-1)^{|x||y|+(|z|-1)|x|} y<>(z^x),
+    # again a consequence of compat B and C applied to both halves of the dot.
+    AxiomId.AGUIAR_2: _relation_row(3, (
+        (_PLUS, (_M, (_W, 0, 1), 2)),
+        (lambda x, y, z: x * y, (_M, (_W, 1, 0), 2)),
+        (lambda x, y, z: 1 + (z - 1) * y, (_M, 0, (_W, 2, 1))),
+        (lambda x, y, z: 1 + x * y + (z - 1) * x, (_M, 1, (_W, 2, 0))))),
+    AxiomId.D_DERIV_WEDGE: _relation_row(2, (
+        (_PLUS, (_D, (_W, 0, 1))),
+        (_MINUS, (_W, (_D, 0), 1)),
+        (lambda x, y: 1 + x, (_W, 0, (_D, 1))))),
+    # the diamond has degree -1, so d passes x with the shifted sign
+    AxiomId.D_DERIV_DIAMOND: _relation_row(2, (
+        (_PLUS, (_D, (_M, 0, 1))),
+        (_MINUS, (_M, (_D, 0), 1)),
+        (lambda x, y: x, (_M, 0, (_D, 1))))),
+}
+_AXIOMS[AxiomId.DERIVED_1] = _AXIOMS[AxiomId.COMPAT_A]     # x^[y, z] written out
+
+
+def _relation(model: AlgebraModel, what: str, row, args) -> Element:
+    """The signed sum of a row's sides on homogeneous elements, through the
+    model's kernels."""
+    ops = {_W: model._wedge_into, _M: model._diamond_into, _D: model._d_into}
+    return _relation_defect(row, ops, [_element(a) for a in args], BASE, what)
 
 
 def axiom_defect(model: AlgebraModel, axiom: AxiomId, args) -> Element:
     """Exact defect of one axiom on homogeneous elements; zero iff it holds."""
-    args = [_element(a) for a in args]
-    arity = 2 if axiom in (AxiomId.D_DERIV_WEDGE, AxiomId.D_DERIV_DIAMOND) else 3
-    if len(args) != arity:
-        raise ValueError("axiom %s takes %d arguments" % (axiom.value, arity))
-    degs = [a.homogeneous_degree(BASE) for a in args]
-    if any(d is None and not a.is_zero() for d, a in zip(degs, args)):
-        raise SchemaError("axiom arguments must be homogeneous")
-    if any(a.is_zero() for a in args):
-        return Element()
-    w, dm, br, dot, dd = model.wedge, model.diamond, model.bracket, model.dot, model.differential
-    if axiom is AxiomId.ZINBIEL:
-        x, y, z = args
-        lhs = w(w(x, y), z)
-        rhs = w(x, w(y, z)) + w(x, w(z, y)).scaled(_sign(degs[1] * degs[2]))
-        return lhs - rhs
-    if axiom is AxiomId.PRELIE:
-        x, y, z = args
-        lhs = dm(dm(x, y), z) - dm(x, dm(y, z))
-        rhs = dm(dm(x, z), y) - dm(x, dm(z, y))
-        return lhs - rhs.scaled(_sign((degs[1] - 1) * (degs[2] - 1)))
-    if axiom is AxiomId.COMPAT_A:
-        x, y, z = args
-        return w(x, dm(y, z)) - w(x, dm(z, y)).scaled(_sign((degs[1] - 1) * (degs[2] - 1)))
-    if axiom is AxiomId.COMPAT_B:
-        x, y, z = args
-        return dm(x, w(y, z)) - w(dm(x, y), z)
-    if axiom is AxiomId.COMPAT_C:
-        x, y, z = args
-        return w(dm(x, y), z) - dm(w(x, z), y).scaled(_sign((degs[1] - 1) * degs[2]))
-    if axiom is AxiomId.DERIVED_1:
-        x, y, z = args
-        return w(x, br(y, z))
-    if axiom is AxiomId.DERIVED_2:
-        x, y, z = args
-        return br(x, w(y, z)) - w(br(x, y), z)
-    if axiom is AxiomId.LEIBNIZ_GERST:
-        x, y, z = args
-        lhs = br(x, dot(y, z))
-        rhs = dot(br(x, y), z) + dot(y, br(x, z)).scaled(_sign(degs[1] * (degs[0] - 1)))
-        return lhs - rhs
-    if axiom is AxiomId.AGUIAR_1:
-        # [x,y]^z = x<>(y^z) - (-1)^{(|x|-1)(|y|-1)} y<>(x^z); the second term
-        # follows from compat B and C (expand the bracket, rewrite each
-        # (..<>..)^z through compat C, then pull the wedge inside with B).
-        x, y, z = args
-        lhs = w(br(x, y), z)
-        rhs = dm(x, w(y, z)) - dm(y, w(x, z)).scaled(_sign((degs[0] - 1) * (degs[1] - 1)))
-        return lhs - rhs
-    if axiom is AxiomId.AGUIAR_2:
-        # (x.y)<>z = (-1)^{(|z|-1)|y|} x<>(z^y) + (-1)^{|x||y|+(|z|-1)|x|} y<>(z^x),
-        # again a consequence of compat B and C applied to both halves of the dot.
-        x, y, z = args
-        lhs = dm(dot(x, y), z)
-        rhs = (dm(x, w(z, y)).scaled(_sign((degs[2] - 1) * degs[1]))
-               + dm(y, w(z, x)).scaled(_sign(degs[0] * degs[1] + (degs[2] - 1) * degs[0])))
-        return lhs - rhs
-    if axiom is AxiomId.D_DERIV_WEDGE:
-        x, y = args
-        return dd(w(x, y)) - w(dd(x), y) - w(x, dd(y)).scaled(_sign(degs[0]))
-    if axiom is AxiomId.D_DERIV_DIAMOND:
-        x, y = args
-        # the diamond has degree -1, so d passes x with the shifted sign
-        return dd(dm(x, y)) - dm(dd(x), y) - dm(x, dd(y)).scaled(_sign(degs[0] - 1))
-    raise ValueError("unknown axiom %r" % axiom)
+    return _relation(model, "axiom " + axiom.value, _AXIOMS[axiom], args)
 
 
 def admit_differential(model: AlgebraModel, rng, samples: int = 25,

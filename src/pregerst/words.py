@@ -59,6 +59,14 @@ the cap against both.  Only the terms that survive become Tensor words.
 The code tables, like the sign tables, hold operator data only and are
 lru_caches, so mutant clears them.
 
+Rows.  _relation_defect is the one evaluator of an identity given as a row
+of signed sides, compiled once by _relation_row: each side's sign is a
+function of the argument degrees, its outermost product goes through the
+kernel of its op straight into one dict (through _add_term, which drops a
+zero and checks the term cap on each new key), and each inner tree is
+computed once per call.  models._AXIOMS and envelopes._IDENTITIES are such
+rows.
+
 Memo kernels.  _memo(table, fn, *args) computes fn(*args) once per table
 and keeps it under (fn,) + args; the tables of one call go through it (the
 coproducts' embeddings, sym_inserts and mus, cosplit_leg's images and
@@ -78,6 +86,7 @@ from __future__ import annotations
 import re
 import weakref
 from array import array
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -542,6 +551,106 @@ def _cosplit_into(acc: dict, terms: dict, leg: int, image, cop_degree: int,
                         raise TermBudgetExceeded(len(acc), _TERM_CAP)
                 else:
                     del acc[key]
+
+
+def _add_term(acc: dict, key, c):
+    """Add a nonzero c at key into the signed sum acc: a zero sum is dropped
+    as it appears and the term cap is checked on each new key."""
+    old = acc.get(key)
+    if old is None:
+        acc[key] = c
+        if len(acc) > _TERM_CAP:
+            raise TermBudgetExceeded(len(acc), _TERM_CAP)
+    else:
+        c += old
+        if c:
+            acc[key] = c
+        else:
+            del acc[key]
+
+
+def _relation_row(arity: int, sides, graded=None):
+    """An identity as a row of signed sides (exponent, tree), compiled once
+    into (arity, graded, sides, steps, temporaries).  A tree is an argument's
+    index or (op, subtree, ...), an exponent a function of the degrees of
+    the arguments graded lists (by default all).  Each inner tree is one
+    temporary, and sides that differ only in the subtree at one position are
+    one product on the signed sum of those subtrees, for every op is
+    multilinear.  A step (target, op, operand slots, sides) adds op of its
+    operands into the target slot, signed by the parity of the listed sides'
+    exponents; op None adds its operand.  The slots are the arguments, the
+    result, then the temporaries."""
+    keys = [[(tree[0], i, tree[1:i + 1] + tree[i + 2:]) for i in range(len(tree) - 1)]
+            for _, tree in sides]
+    counts = Counter(key for side_keys in keys for key in side_keys)
+    groups = {}     # each side at the position the most sides share
+    for n, side_keys in enumerate(keys):
+        groups.setdefault(max(side_keys, key=counts.__getitem__), []).append(n)
+    summed = Counter(sides[n][1][1 + key[1]] for key, members in groups.items()
+                     if len(members) > 1 for n in members)
+    steps, slots = [], {}
+
+    def slot(tree):
+        if type(tree) is not int and tree not in slots:
+            operands = tuple(map(slot, tree[1:]))
+            slots[tree] = arity + 1 + len(slots)
+            steps.append((slots[tree], tree[0], operands, ()))
+        return slots.get(tree, tree)
+
+    for (op, position, others), members in groups.items():
+        trees = [sides[n][1][1 + position] for n in members]
+        if len(members) == 1:
+            varying = slot(trees[0])
+        else:   # a tree in one sum only goes straight into it
+            varying = slots["+", members[0]] = arity + 1 + len(slots)
+            for n, tree in zip(members, trees):
+                alone = type(tree) is not int and summed[tree] == 1
+                steps.append((varying, tree[0] if alone else None,
+                              tuple(map(slot, tree[1:])) if alone else (slot(tree),),
+                              (n, members[0])))
+        operands = list(map(slot, others))
+        operands.insert(position, varying)
+        steps.append((arity, op, tuple(operands), members[:1]))
+    return arity, range(arity) if graded is None else graded, sides, tuple(steps), len(slots)
+
+
+def _relation_defect(row, ops, args, view: GradingView, what: str) -> Element:
+    """The one evaluator of a row (_relation_row) on the elements args: the
+    sum of its sides, each signed (-1)^{exponent(*degrees)} with the degrees
+    in the view.  ops[op] is a kernel op_into(acc, operand, ..., coeff) that
+    adds coeff times op of its operands, mappings key -> coefficient, into
+    the dict acc, checking the term cap on each new key; the outermost
+    product of every side goes straight into the one sum.  A graded argument
+    that is not homogeneous is refused; a zero argument gives zero."""
+    arity, graded, sides, steps, temporaries = row
+    if len(args) != arity:
+        raise ValueError("%s takes %d arguments" % (what, arity))
+    degrees = [0] * arity
+    for i in graded:
+        degrees[i] = args[i].homogeneous_degree(view)
+        if degrees[i] is None and args[i].terms:
+            raise SchemaError("%s needs homogeneous arguments" % what)
+    out = Element()
+    if not all(a.terms for a in args):
+        return out
+    signs = [exponent(*degrees) & 1 for exponent, _ in sides]
+    slots = [a.terms for a in args]
+    slots.append(out.terms)
+    for _ in range(temporaries):
+        slots.append({})
+    for target, op, operands, parity in steps:
+        odd = 0
+        for n in parity:
+            odd ^= signs[n]
+        coeff = -1 if odd else 1
+        if op is None:      # a slot added as it is
+            operand = slots[operands[0]]
+            _add_signed(slots[target], operand, operand.values(), coeff, 0)
+        elif len(operands) == 2:
+            ops[op](slots[target], slots[operands[0]], slots[operands[1]], coeff)
+        else:
+            ops[op](slots[target], *map(slots.__getitem__, operands), coeff)
+    return out
 
 
 def _key_kind(key):

@@ -5,6 +5,7 @@ computation, one context per suite instance, and emptied by mutant; and
 coderivation_defect's table, with one image of Q per distinct leg word and
 one embedding per distinct tail across both coproducts."""
 
+import functools
 import gc
 import random
 import weakref
@@ -265,6 +266,36 @@ def test_coderivation_defect_embeds_each_tail_once_per_call(monkeypatch):
             assert set(calls.values()) <= {1}
             embedded += len(calls)
     assert embedded > 100
+
+
+def test_coderivation_defect_checks_the_schema_once_per_input_word(monkeypatch):
+    check = envelopes.is_pair_over_tensors
+    calls = Counter()
+
+    def counted(word):
+        calls[word] += 1
+        return check(word)
+    monkeypatch.setattr(envelopes, "is_pair_over_tensors", counted)
+    model = FormsModel(2)
+    rng = random.Random(2718)
+    legs = 0
+    for _ in range(20):
+        first, second = rand_pair(model, rng), rand_pair(model, rng)
+        if first is None or second is None:
+            continue
+        elem = first + second
+        for q in (m_map, r_map, q_total, functools.wraps(q_total)(lambda ctx, e: q_total(ctx, e))):
+            for cop, cop_degree in ((delta_perm, 0), (kappa, 1)):
+                calls.clear()
+                defect = coderivation_defect(EnvelopeContext(model), q, cop, cop_degree, elem)
+                assert calls == Counter(list(elem.terms))
+                # any other map is called as it is, on elem and on every leg word
+                calls.clear()
+                other = lambda ctx, e, q=q: q(ctx, e)
+                assert coderivation_defect(EnvelopeContext(model), other, cop, cop_degree,
+                                           elem) == defect
+                legs += sum(calls.values()) - len(elem.terms)
+    assert legs > 100
 
 
 def test_a_context_dies_with_its_last_reference():

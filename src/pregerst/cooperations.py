@@ -39,13 +39,13 @@ defect, zero when the law holds.  Cocommutativity and kappa cosymmetry are
 sides too: the identity at leg 0 of delta_cocom's or kappa_prime's result,
 added swapped and subtracted.
 
-Each coproduct has a body on one word that reads the images it needs
-through a table keyed by all they read: a body's through _image, an
-embedding, a sym_insert or a mu through words._memo.  There is one table per
-public call, or one per law_defect call, so each image is computed once per
-distinct argument in the whole law.  _extend_in applies delta_perm or kappa
-with a table of the caller's: coderivation_defect reads both its coproducts'
-images from one table.
+Each coproduct has a body on one word, body(ctx, word, view, mu_legs), that
+fills a plain dict and reads the images it needs from a words.Context: a
+body's through words._image, an embedding, a sym_insert or a mu through
+words._memo.  Each public call, and each law_defect call, makes one Context,
+so each image is computed once per distinct argument in the whole law.
+_extend_in applies delta_perm or kappa with a Context of the caller's:
+coderivation_defect reads both its coproducts' images from one.
 
 delta_perm, kappa_prime_sym and kappa assume that the symmetric words they
 split are in canonical order: the parts of a canonical tail are canonical
@@ -63,14 +63,17 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import SchemaError
-from .grading import SHIFT1, SHIFT2, GradingView, rearrangement_sign
+from .grading import SHIFT1, SHIFT2, SIGN, GradingView, rearrangement_sign
 from .words import (
+    Context,
     Element,
     Pair,
     Sym,
     Tensor,
     _add_signed,
+    _add_term,
     _cosplit_into,
+    _image,
     _memo,
     canonical_term,
     degree,
@@ -161,44 +164,35 @@ def _factor_cut_table(parities, s):
 # coproducts
 # ---------------------------------------------------------------------------
 
-def _image(images, body, word, view, mu_legs):
-    """The terms of body(images, word, view, mu_legs), once per table, stored
-    only once complete; only kappa's and kappa_prime's bodies read mu_legs."""
-    key = (body, word, view, mu_legs)
-    image = images.get(key)
-    if image is None:
-        image = images[key] = body(images, word, view, mu_legs)
-    return image
-
-
-def _extend(images, body, elem: Element, view, mu_legs=False) -> Element:
-    """The linear extension of body over elem, reading images from the table."""
+def _extend(ctx: Context, body, elem: Element, view, mu_legs=False) -> Element:
+    """The linear extension of body over elem, reading its images from ctx;
+    only kappa's and kappa_prime's bodies read mu_legs."""
     out = Element()
     for word, coeff in elem.items():
-        image = _image(images, body, word, view, mu_legs)
+        image = _image(ctx, body, word, view, mu_legs)
         if image:
             _add_signed(out.terms, image, image.values(), coeff, 0)
     return out
 
 
-def _delta_leibniz_word(images, word, view, mu_legs):
+def _delta_leibniz_word(ctx, word, view, mu_legs):
     if not isinstance(word, Tensor):
         raise SchemaError("delta_leibniz expects tensor words")
-    out = Element()
+    out = {}
     factors = word.factors
     n = len(factors)
     for k in range(1, n - 1):
         left = Tensor(factors[:k])
-        for w, c in _memo(images, mu_word, Tensor(factors[k:]), view).items():
-            out.add_term((left, w), c)
+        for w, c in _memo(ctx, mu_word, Tensor(factors[k:]), view).items():
+            _add_term(out, (left, w), c)
     if n > 1:       # the last cut, where mu_1 is the identity
-        out.add_term((Tensor(factors[:-1]), Tensor(factors[-1:])), 1)
-    return out.terms
+        _add_term(out, (Tensor(factors[:-1]), Tensor(factors[-1:])), 1)
+    return out
 
 
 def delta_leibniz(elem: Element, view: GradingView = SHIFT1) -> Element:
     """Leibniz cocrochet on tensor words; single letters map to zero."""
-    return _extend({}, _delta_leibniz_word, elem, view)
+    return _extend(Context(), _delta_leibniz_word, elem, view)
 
 
 def delta_concat(elem: Element) -> Element:
@@ -220,42 +214,42 @@ def cocrochet_lie(elem: Element, view: GradingView = SHIFT1) -> Element:
     return d - d.volte(0, view)
 
 
-def _cocrochet_lie_word(images, word, view, mu_legs):
+def _cocrochet_lie_word(ctx, word, view, mu_legs):
     return cocrochet_lie(Element.single(word), view).terms
 
 
-def _delta_cocom_word(images, word, view, mu_legs):
+def _delta_cocom_word(ctx, word, view, mu_legs):
     if not isinstance(word, Sym):
         raise SchemaError("delta_cocom expects symmetric words")
-    out = Element()
+    out = {}
     factors = word.factors
     parities = tuple(f.degrees[view] & 1 for f in factors)
     for left, right, sign in _split_table(parities, True, True):
-        out.add_term((Sym(tuple(map(factors.__getitem__, left))),
-                      Sym(tuple(map(factors.__getitem__, right)))), sign)
-    return out.terms
+        _add_term(out, (Sym(tuple(map(factors.__getitem__, left))),
+                        Sym(tuple(map(factors.__getitem__, right)))), sign)
+    return out
 
 
 def delta_cocom(elem: Element, view: GradingView) -> Element:
     """Cocommutative coproduct on symmetric words: signed proper splits."""
-    return _extend({}, _delta_cocom_word, elem, view)
+    return _extend(Context(), _delta_cocom_word, elem, view)
 
 
-def _delta_perm_word(images, word, view, mu_legs):
+def _delta_perm_word(ctx, word, view, mu_legs):
     if not isinstance(word, Pair):
         raise SchemaError("delta_perm expects pair words")
-    out = Element()
+    out = {}
     word, coeff = canonical_term(word, 1, word.tail.factors, view)
     if word is None:
-        return out.terms
+        return out
     factors = word.tail.factors
     parities = tuple(f.degrees[view] & 1 for f in factors)
     for left, right, sign in _split_table(parities, nonempty_second=True):
         leg1 = Pair(word.head, Sym(tuple(map(factors.__getitem__, left))))
         leg2_sym = Sym(tuple(map(factors.__getitem__, right)))
-        for w, c in _memo(images, embed_sym_into_pair, leg2_sym, view).terms.items():
-            out.add_term((leg1, w), coeff * sign * c)
-    return out.terms
+        for w, c in _memo(ctx, embed_sym_into_pair, leg2_sym, view).terms.items():
+            _add_term(out, (leg1, w), coeff * sign * c)
+    return out
 
 
 def delta_perm(elem: Element, view: GradingView = SHIFT2) -> Element:
@@ -265,7 +259,7 @@ def delta_perm(elem: Element, view: GradingView = SHIFT2) -> Element:
     second leg is the symmetric word J pushed through the embedding.  A pair
     with an empty tail maps to zero.
     """
-    return _extend({}, _delta_perm_word, elem, view)
+    return _extend(Context(), _delta_perm_word, elem, view)
 
 
 def _cuts(word: Tensor):
@@ -281,22 +275,22 @@ def _cut_leg(vpart: Tensor, mu_legs: bool):
     return {vpart: 1}
 
 
-def _kappa_prime_sym_word(images, word, view, mu_legs):
+def _kappa_prime_sym_word(ctx, word, view, mu_legs):
     if not (isinstance(word, Sym) and all(isinstance(f, Tensor) for f in word.factors)):
         raise SchemaError("kappa_prime expects symmetric words of tensor factors")
-    out = Element()
+    out = {}
     word, coeff = canonical_term(word, 1, word.factors, view)
     if word is None:
-        return out.terms
+        return out
     factors = word.factors
     parities = tuple(f.degrees[view] & 1 for f in factors)
     for s in range(len(factors)):
         if len(factors[s].factors) < 2:
             continue
-        prefix = -1 if sum(parities[:s]) & 1 else 1
+        prefix = SIGN[sum(parities[:s]) & 1]
         for upart, vpart in _cuts(factors[s]):
             up = upart.degrees[view] & 1
-            cut_sign = -1 if up else 1
+            cut_sign = SIGN[up]
             mu_v = _cut_leg(vpart, mu_legs).items()
             # parities with X_s replaced by the two halves
             ext = parities[:s] + (up, vpart.degrees[view] & 1) + parities[s + 1:]
@@ -305,20 +299,20 @@ def _kappa_prime_sym_word(images, word, view, mu_legs):
                 right_words = tuple(map(factors.__getitem__, idx_right))
                 base = coeff * prefix * cut_sign
                 # (X_I . U) (x) (mu V . X_J)
-                sa, lega = _memo(images, sym_insert, upart, left_words, view, False)
+                sa, lega = _memo(ctx, sym_insert, upart, left_words, view, False)
                 if lega is not None:
                     for w, c in mu_v:
-                        sb, legb = _memo(images, sym_insert, w, right_words, view, True)
+                        sb, legb = _memo(ctx, sym_insert, w, right_words, view, True)
                         if legb is not None:
-                            out.add_term((lega, legb), base * sign_uv * sa * sb * c)
+                            _add_term(out, (lega, legb), base * sign_uv * sa * sb * c)
                 # (X_I . mu V) (x) (U . X_J)
-                sb, legb = _memo(images, sym_insert, upart, right_words, view, True)
+                sb, legb = _memo(ctx, sym_insert, upart, right_words, view, True)
                 if legb is not None:
                     for w, c in mu_v:
-                        sa, lega = _memo(images, sym_insert, w, left_words, view, False)
+                        sa, lega = _memo(ctx, sym_insert, w, left_words, view, False)
                         if lega is not None:
-                            out.add_term((lega, legb), base * sign_vu * sa * sb * c)
-    return out.terms
+                            _add_term(out, (lega, legb), base * sign_vu * sa * sb * c)
+    return out
 
 
 def kappa_prime_sym(elem: Element, view: GradingView = SHIFT2,
@@ -331,37 +325,37 @@ def kappa_prime_sym(elem: Element, view: GradingView = SHIFT2,
     position prefix (-1)^{sum of deg' before s} and a cut sign (-1)^{deg' U}.
     Factors of tensor length one contribute nothing.
     """
-    return _extend({}, _kappa_prime_sym_word, elem, view, mu_legs)
+    return _extend(Context(), _kappa_prime_sym_word, elem, view, mu_legs)
 
 
-def _kappa_prime_word(images, word, view, mu_legs):
-    out = Element()
-    for (lega, legb), coeff in _kappa_prime_sym_word(images, word, view, mu_legs).items():
-        for wa, ca in _memo(images, embed_sym_into_pair, lega, view).terms.items():
-            for wb, cb in _memo(images, embed_sym_into_pair, legb, view).terms.items():
-                out.add_term((wa, wb), coeff * ca * cb)
-    return out.terms
+def _kappa_prime_word(ctx, word, view, mu_legs):
+    out = {}
+    for (lega, legb), coeff in _kappa_prime_sym_word(ctx, word, view, mu_legs).items():
+        for wa, ca in _memo(ctx, embed_sym_into_pair, lega, view).terms.items():
+            for wb, cb in _memo(ctx, embed_sym_into_pair, legb, view).terms.items():
+                _add_term(out, (wa, wb), coeff * ca * cb)
+    return out
 
 
 def kappa_prime(elem: Element, view: GradingView = SHIFT2,
                 mu_legs: bool = False) -> Element:
     """kappa_prime with both legs materialised as pair-word elements."""
-    return _extend({}, _kappa_prime_word, elem, view, mu_legs)
+    return _extend(Context(), _kappa_prime_word, elem, view, mu_legs)
 
 
-def _kappa_word(images, word, view, mu_legs):
+def _kappa_word(ctx, word, view, mu_legs):
     if not isinstance(word, Pair) or not isinstance(word.head, Tensor):
         raise SchemaError("kappa expects pair words with tensor heads")
-    out = Element()
+    out = {}
     word, coeff = canonical_term(word, 1, word.tail.factors, view)
     if word is None:
-        return out.terms
+        return out
     head = word.head
     tail = word.tail.factors
     tparities = tuple(f.degrees[view] & 1 for f in tail)
     for upart, vpart in _cuts(head):
         up = upart.degrees[view] & 1
-        cut_sign = -1 if up else 1
+        cut_sign = SIGN[up]
         mu_v = _cut_leg(vpart, mu_legs).items()
         ext = (up, vpart.degrees[view] & 1) + tparities
         for left, right, sign_uv, sign_vu in _head_cut_table(ext):
@@ -372,28 +366,28 @@ def _kappa_word(images, word, view, mu_legs):
             # (U (x) tail_I) (x) embed(mu V . tail_J)
             leg1 = Pair(upart, Sym(left_words))
             for w, c in mu_v:
-                sb, prod = _memo(images, sym_insert, w, right_words, view, True)
+                sb, prod = _memo(ctx, sym_insert, w, right_words, view, True)
                 if prod is None:
                     continue
-                for pw, pc in _memo(images, embed_sym_into_pair, prod, view).terms.items():
-                    out.add_term((leg1, pw), base * sign_uv * sb * c * pc)
+                for pw, pc in _memo(ctx, embed_sym_into_pair, prod, view).terms.items():
+                    _add_term(out, (leg1, pw), base * sign_uv * sb * c * pc)
             # (mu V (x) tail_J) (x) embed(U . tail_I)
             tail_j = Sym(right_words)
-            sa, prod = _memo(images, sym_insert, upart, left_words, view, True)
+            sa, prod = _memo(ctx, sym_insert, upart, left_words, view, True)
             if prod is not None:
-                emb = _memo(images, embed_sym_into_pair, prod, view).terms.items()
+                emb = _memo(ctx, embed_sym_into_pair, prod, view).terms.items()
                 for w, c in mu_v:
                     leg1 = Pair(w, tail_j)
                     for pw, pc in emb:
-                        out.add_term((leg1, pw), base * sign_vu * sa * c * pc)
+                        _add_term(out, (leg1, pw), base * sign_vu * sa * c * pc)
     if tail:
-        tail_sign = -1 if degree(head, view) & 1 else 1
-        inner = _image(images, _kappa_prime_sym_word, word.tail, view, mu_legs)
+        tail_sign = SIGN[degree(head, view) & 1]
+        inner = _image(ctx, _kappa_prime_sym_word, word.tail, view, mu_legs)
         for (lega, legb), c in inner.items():
             leg1 = Pair(head, lega)
-            for pw, pc in _memo(images, embed_sym_into_pair, legb, view).terms.items():
-                out.add_term((leg1, pw), coeff * tail_sign * c * pc)
-    return out.terms
+            for pw, pc in _memo(ctx, embed_sym_into_pair, legb, view).terms.items():
+                _add_term(out, (leg1, pw), coeff * tail_sign * c * pc)
+    return out
 
 
 def kappa(elem: Element, view: GradingView = SHIFT2,
@@ -404,29 +398,29 @@ def kappa(elem: Element, view: GradingView = SHIFT2,
     taken in both orders, plus the tail term head (x) kappa_prime(tail).
     A single-generator head with empty tail maps to zero.
     """
-    return _extend({}, _kappa_word, elem, view, mu_legs)
+    return _extend(Context(), _kappa_word, elem, view, mu_legs)
 
 
 # The public coproducts on pair words by the bodies they extend, so that a
-# caller applying one several times can read all its images from one table.
+# caller applying one several times can read all its images from one Context.
 _PAIR_BODIES = {delta_perm: _delta_perm_word, kappa: _kappa_word}
 
 
-def _extend_in(images, coproduct, elem: Element) -> Element:
+def _extend_in(ctx: Context, coproduct, elem: Element) -> Element:
     """coproduct(elem) at its defaults; delta_perm and kappa (past any
-    wrapper) read their images from the given table, and any other
-    coproduct is called as it is."""
+    wrapper) read their images from ctx, and any other coproduct is called
+    as it is."""
     body = _PAIR_BODIES.get(inspect.unwrap(coproduct))
     if body is None:
         return coproduct(elem)
-    return _extend(images, body, elem, SHIFT2)
+    return _extend(ctx, body, elem, SHIFT2)
 
 
 # ---------------------------------------------------------------------------
 # law checking
 # ---------------------------------------------------------------------------
 
-def _identity_word(images, word, view, mu_legs):
+def _identity_word(ctx, word, view, mu_legs):
     return {(word,): 1}
 
 
@@ -481,9 +475,9 @@ def law_defect(law: LawId, elem: Element, view: GradingView = None) -> Element:
         for w in elem.terms:
             if not predicate(w):
                 raise SchemaError("law %s needs %s" % (law.value, what))
-    images = {}     # (body, word, view, mu_legs) -> image terms, for this evaluation only
+    ctx = Context()     # the images of this evaluation only
     out = Element()     # all sides are added into its one signed sum
     for first, leg, body, cop_degree, outs in sides:
-        _cosplit_into(out.terms, _extend(images, first, elem, view).terms, leg,
-                      lambda w: _image(images, body, w, view, False), cop_degree, view, outs)
+        _cosplit_into(out.terms, _extend(ctx, first, elem, view).terms, leg,
+                      lambda w: _image(ctx, body, w, view, False), cop_degree, view, outs)
     return out

@@ -37,20 +37,18 @@ text is left to the caller (suites.run_suite).
 
 Images.  Every map reads what it applies from the context, each image
 computed once per context and then read, never copied or changed.  Each
-body takes the context first and is stored under (body, model, arguments)
-through one of two readers over words._store: _image keeps in ctx.images
-the images of D on a tensor word and of r2 on a pair of them, and the
-lift's slot images, namely unary on a factor, binary on (head, t_j) with
-its sign applied, and the symmetrised binary on a pair of tail factors
-(_symmetrised, stored once per factor pair); _product keeps in
-ctx.products the atom products the bodies of D and r2 read: the diamond,
-the bracket, d and the signed wedge _q2_wedge.  A key holds the model,
-never the context, so a context is freed as soon as its last reference
-goes.  An image is stored only when its computation completes, and an
-aborted one (a term cap) pops the images it stored on the way, so the
-table is left as it was.  The suites build one context per instance, so no
-image outlives its instance; EnvelopeContext.cache_clear(), which mutant
-calls on entry and exit, empties both tables of every live context.
+body takes the context first and is read through words._image, which keeps
+it in ctx.images under (body,) + arguments: the images of D on a tensor
+word and of r2 on a pair of them; the lift's slot images, namely unary on a
+factor, binary on (head, t_j) with its sign applied, and the symmetrised
+binary on a pair of tail factors (_symmetrised, stored once per factor
+pair); and the atom products the bodies of D and r2 read, namely the
+diamond, the bracket, d and the signed wedge _q2_wedge.  No key holds the
+context, so a context is freed as soon as its last reference goes, and an
+aborted image (a term cap) leaves the table as it was (words._store).  The
+suites build one context per instance, so no image outlives its instance;
+EnvelopeContext.cache_clear(), which mutant calls on entry and exit,
+empties the table of every live context.
 
 Canonical tails.  _lift checks once per input word that its symmetric
 factors are in canonical order and normalizes it if not.  A sub-tail of a
@@ -63,13 +61,13 @@ from __future__ import annotations
 
 import inspect
 import weakref
-from dataclasses import dataclass, field
 from functools import partial
 
 from .cooperations import _extend_in
-from .grading import SHIFT1, SHIFT2
+from .grading import SHIFT1, SHIFT2, SIGN
 from .models import AlgebraModel
 from .words import (
+    Context,
     Element,
     Gen,
     Pair,
@@ -78,10 +76,10 @@ from .words import (
     _add_signed,
     _add_term,
     _cosplit_into,
+    _image,
     _memo,
     _relation_defect,
     _relation_row,
-    _store,
     canonical_term,
     degree,
     is_pair_over_gens,
@@ -94,47 +92,23 @@ from .words import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class EnvelopeContext:
-    """A model and what has been computed over it so far: images holds the
-    images of D and r2 on words and the lift's slot images, products the atom
-    products inside their bodies, each keyed by (body, model, arguments).
-    Contexts compare by identity; EnvelopeContext.cache_clear() empties both
-    tables of every live one."""
+class EnvelopeContext(Context):
+    """A Context with the model its bodies read, whose images are D, r2, the
+    lift's slot images and the atom products.  EnvelopeContext.cache_clear()
+    empties the images of every live one."""
 
-    model: AlgebraModel
-    images: dict = field(init=False, default_factory=dict, repr=False)
-    products: dict = field(init=False, default_factory=dict, repr=False)
+    __slots__ = ("model",)
     _live = weakref.WeakSet()
 
-    def __post_init__(self):
+    def __init__(self, model: AlgebraModel):
+        super().__init__()
+        self.model = model
         EnvelopeContext._live.add(self)
 
     @classmethod
     def cache_clear(cls):
         for ctx in list(cls._live):
             ctx.images.clear()
-            ctx.products.clear()
-
-
-def _image(ctx: EnvelopeContext, body, *args) -> Element:
-    """body(ctx, *args), once per context: ctx's stored image, kept in
-    ctx.images under (body, model) + args, to be read only."""
-    key = (body, ctx.model) + args
-    found = ctx.images.get(key)
-    if found is None:
-        found = _store(ctx.images, key, body, (ctx,) + args)
-    return found
-
-
-def _product(ctx: EnvelopeContext, body, *args) -> Element:
-    """body(ctx, *args) on atom words, once per context: kept in ctx.products
-    under (body, model) + args, to be read only."""
-    key = (body, ctx.model) + args
-    found = ctx.products.get(key)
-    if found is None:
-        found = _store(ctx.products, key, body, (ctx,) + args)
-    return found
 
 
 def _atom_words(atoms: Element) -> Element:
@@ -175,20 +149,15 @@ def _q2_wedge(ctx: EnvelopeContext, a: Gen, b: Gen) -> Element:
 
 def _bracket_atoms(ctx: EnvelopeContext, a: Gen, b: Gen) -> Element:
     """[a, b] = a<>b - (-1)^{deg a deg b} b<>a."""
-    first = _product(ctx, _diamond, a, b)
-    second = _product(ctx, _diamond, b, a)
-    sign = -1 if (degree(a, SHIFT1) & 1 and degree(b, SHIFT1) & 1) else 1
+    first = _image(ctx, _diamond, a, b)
+    second = _image(ctx, _diamond, b, a)
+    sign = SIGN[degree(a, SHIFT1) & degree(b, SHIFT1) & 1]
     return first - second if sign > 0 else first + second
 
 
 # ---------------------------------------------------------------------------
 # the Zinbiel envelope codifferential D on tensor words
 # ---------------------------------------------------------------------------
-
-def _d_image(ctx: EnvelopeContext, word: Tensor) -> Element:
-    """D on one tensor word: ctx's stored image, to be read only."""
-    return _image(ctx, _zinfinity_d_word, word)
-
 
 def _zinfinity_d_word(ctx: EnvelopeContext, word: Tensor) -> Element:
     factors = word.factors
@@ -198,18 +167,18 @@ def _zinfinity_d_word(ctx: EnvelopeContext, word: Tensor) -> Element:
     # differential at every slot
     if ctx.model.has_differential:
         for k in range(n):
-            pref = -1 if sum(degs[:k]) & 1 else 1
-            _splice(out, factors[:k], _product(ctx, _d_atom, factors[k]),
+            pref = SIGN[sum(degs[:k]) & 1]
+            _splice(out, factors[:k], _image(ctx, _d_atom, factors[k]),
                     factors[k + 1:], pref)
     # binary part at the head
     if n >= 2:
-        _splice(out, (), _product(ctx, _q2_wedge, factors[0], factors[1]), factors[2:], 1)
+        _splice(out, (), _image(ctx, _q2_wedge, factors[0], factors[1]), factors[2:], 1)
     # binary part through mu_2 at interior adjacent slots
     for k in range(1, n - 1):
-        pref = -1 if sum(degs[:k]) & 1 else 1
-        direct = _product(ctx, _q2_wedge, factors[k], factors[k + 1])
-        swapped = _product(ctx, _q2_wedge, factors[k + 1], factors[k])
-        tau = -1 if (degs[k] & 1 and degs[k + 1] & 1) else 1
+        pref = SIGN[sum(degs[:k]) & 1]
+        direct = _image(ctx, _q2_wedge, factors[k], factors[k + 1])
+        swapped = _image(ctx, _q2_wedge, factors[k + 1], factors[k])
+        tau = SIGN[degs[k] & degs[k + 1] & 1]
         _splice(out, factors[:k], direct, factors[k + 2:], pref)
         _splice(out, factors[:k], swapped, factors[k + 2:], -pref * tau)
     return out
@@ -226,18 +195,13 @@ def _zinfinity_d_into(ctx: EnvelopeContext, acc: dict, x, coeff):
     """Add coeff times D of a mapping tensor word -> coefficient into acc,
     from the stored images."""
     for w, c in x.items():
-        image = _d_image(ctx, w).terms
+        image = _image(ctx, _zinfinity_d_word, w).terms
         _add_signed(acc, image, image.values(), c * coeff, 0)
 
 
 # ---------------------------------------------------------------------------
 # the pre-Lie extension r2 on tensor words
 # ---------------------------------------------------------------------------
-
-def _r2_image(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
-    """r2 on a pair of tensor words: ctx's stored image, to be read only."""
-    return _image(ctx, _r2_words, x, y)
-
 
 def _r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     """The pre-Lie extension on a pair of tensor words; length p+q-1 output."""
@@ -250,12 +214,12 @@ def _r2_words(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     # shuffles of x[k:] with y[1:]
     for k in range(1, len(xs) + 1):
         if k == 1:
-            atoms = _product(ctx, _diamond, xs[0], y1)
+            atoms = _image(ctx, _diamond, xs[0], y1)
         else:
-            atoms = _product(ctx, _bracket_atoms, xs[k - 1], y1)
+            atoms = _image(ctx, _bracket_atoms, xs[k - 1], y1)
         if not atoms:
             continue
-        pref = -1 if (y1_odd and sum(xdeg[k:]) & 1) else 1
+        pref = SIGN[y1_odd & sum(xdeg[k:]) & 1]
         prefix = xs[:k - 1]
         for tail, ts in shuffle_terms(xs[k:], ys[1:], SHIFT1).items():
             for g, c in atoms.items():
@@ -283,7 +247,7 @@ def _r2_into(ctx: EnvelopeContext, acc: dict, x, y, coeff):
     for wx, cx in x.items():
         cx *= coeff
         for wy, cy in y:
-            image = _r2_image(ctx, wx, wy).terms
+            image = _image(ctx, _r2_words, wx, wy).terms
             _add_signed(acc, image, image.values(), cx * cy, 0)
 
 
@@ -293,7 +257,7 @@ def _r2_into(ctx: EnvelopeContext, acc: dict, x, y, coeff):
 
 def _r2_shifted(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
     """(-1)^{deg' x} r2(x, y), the once-shifted companion."""
-    res = _r2_image(ctx, x, y)
+    res = _image(ctx, _r2_words, x, y)
     if degree(x, SHIFT2) & 1:
         return -res
     return res
@@ -301,14 +265,14 @@ def _r2_shifted(ctx: EnvelopeContext, x: Tensor, y: Tensor) -> Element:
 
 def _diamond_shifted(ctx: EnvelopeContext, a: Gen, b: Gen) -> Element:
     """(-1)^{deg' a} a<>b on atom words."""
-    product = _product(ctx, _diamond, a, b)
+    product = _image(ctx, _diamond, a, b)
     return -product if degree(a, SHIFT2) & 1 else product
 
 
 def _symmetrised(ctx: EnvelopeContext, binary, a, b) -> Element:
     """binary(a, b) + (-1)^{deg' a deg' b} binary(b, a), read from the two
     stored images of binary."""
-    swap = -1 if degree(a, SHIFT2) & degree(b, SHIFT2) & 1 else 1
+    swap = SIGN[degree(a, SHIFT2) & degree(b, SHIFT2) & 1]
     out = Element()
     out.terms = dict(_image(ctx, binary, a, b).terms)
     add = out.add_term
@@ -337,12 +301,12 @@ def _lift(ctx: EnvelopeContext, elem: Element, unary, binary) -> Element:
         factors = tail.factors
         n = len(factors)
         tdegs = [f.degrees[SHIFT2] for f in factors]
-        head_sign = -1 if is_pair and degree(head, SHIFT2) & 1 else 1
+        head_sign = SIGN[is_pair and degree(head, SHIFT2) & 1]
         # eps[j]: the sign of moving tail factor j to the front
         eps = []
         odd = 0
         for t in tdegs:
-            eps.append(-1 if t & odd & 1 else 1)
+            eps.append(SIGN[t & odd & 1])
             odd ^= t & 1
         # (image, coefficient, place) per nonzero slot, kind by kind: a Sym
         # place is the tail kept under each image word as the new head, a
@@ -373,7 +337,7 @@ def _lift(ctx: EnvelopeContext, elem: Element, unary, binary) -> Element:
                 for j in range(i + 1, n):
                     image = _image(ctx, _symmetrised, binary, factors[i], factors[j]).terms
                     if image:
-                        swap = -1 if tdegs[i] & tdegs[j] & 1 else 1
+                        swap = SIGN[tdegs[i] & tdegs[j] & 1]
                         # t_i to the front, then t_j past everything before it but t_i
                         pair_coeff = coeff * head_sign * eps[i] * eps[j] * swap
                         slots.append((image, pair_coeff,
@@ -460,7 +424,7 @@ def coderivation_defect(ctx: EnvelopeContext, q, coproduct, cop_degree: int,
     (id x Q) leg always carries the Koszul sign of moving a degree-one map
     past the first leg.  The three sides are added into one signed sum, q
     runs once per distinct leg word across both legs, and both coproducts
-    read their images (embeddings, sym_inserts) from the table of the call.
+    read their images (embeddings, sym_inserts) from the Context of the call.
     elem's schema is checked once: m_map, r_map and q_total (past any
     wrapper) run as their lift bodies on e and on each leg word, and any
     other q is called as it is.
@@ -475,12 +439,12 @@ def coderivation_defect(ctx: EnvelopeContext, q, coproduct, cop_degree: int,
 
     def q_leg(w):       # q's image of one leg word, keyed by one-leg tuples
         return {(w2,): c for w2, c in apply(Element.single(w)).items()}
-    images = {}     # the coproduct's images and q_leg's, for this call only
+    cache = Context()       # the coproduct's images and q_leg's, for this call only
     scale = 1 if cop_degree & 1 else -1
-    out = _extend_in(images, coproduct, apply(elem))    # the other sides are added into its terms
-    ce = _extend_in(images, coproduct, elem).terms
+    out = _extend_in(cache, coproduct, apply(elem))     # the other sides are added into its terms
+    ce = _extend_in(cache, coproduct, elem).terms
     for leg in (0, 1):
-        _cosplit_into(out.terms, ce, leg, lambda w: _memo(images, q_leg, w), 1, SHIFT2,
+        _cosplit_into(out.terms, ce, leg, lambda w: _memo(cache, q_leg, w), 1, SHIFT2,
                       ((scale, ()),))
     return out
 

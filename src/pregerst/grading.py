@@ -12,7 +12,8 @@ which for a place permutation is exactly the set of inversions of the image
 tuple.  Rearranging a sequence so that slot k receives the symbol originally
 at position order[k] is the same action for the inverse permutation;
 rearrangement_sign computes that sign directly from the order list, which is
-the shape almost every coproduct formula wants.
+the shape almost every coproduct formula wants.  SIGN[p] is (-1)^p for a
+parity p; every sign the package derives from a parity reads it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from __future__ import annotations
 from enum import IntEnum
 from itertools import combinations
 from typing import NamedTuple
+
+
+# (-1)^p for a parity p in {0, 1}, as SIGN[p]
+SIGN = (1, -1)
 
 
 class GradingView(IntEnum):
@@ -150,7 +155,7 @@ def rearrangement_sign(degrees, order) -> int:
             ib = order[b]
             if ia > ib and degrees[ib] & 1:
                 crossings += 1
-    return -1 if crossings & 1 else 1
+    return SIGN[crossings & 1]
 
 
 def shuffles(p: int, q: int):

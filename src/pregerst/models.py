@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import SchemaError
-from .grading import BASE, Generator
+from .grading import BASE, SIGN, Generator
 from .words import Element, _add_term, _relation_defect, _relation_row
 
 
@@ -134,7 +134,7 @@ def _dx_sign(left: int, right: int) -> int:
         low = right & -right
         crossings += (left & -(low << 1)).bit_count()    # the i in I above j
         right ^= low
-    return -1 if crossings & 1 else 1
+    return SIGN[crossings & 1]
 
 
 @lru_cache(maxsize=None)

@@ -52,10 +52,10 @@ PATCHES = {
                               "tail_coeff = coeff * eps[j]"),
     # the Leibniz cocrochet on pair words drops the (-1)^{deg' of left cut} prefactor.
     "kappa_head_sign_drop": Patch("cooperations", "_kappa_word",
-                                  "cut_sign = -1 if up else 1", "cut_sign = 1"),
+                                  "cut_sign = SIGN[up]", "cut_sign = 1"),
     # the symmetric cocrochet drops its position prefix sign (-1)^{sum of earlier deg'}.
     "kappa_prime_prefix_drop": Patch("cooperations", "_kappa_prime_sym_word",
-                                     "prefix = -1 if sum(parities[:s]) & 1 else 1", "prefix = 1"),
+                                     "prefix = SIGN[sum(parities[:s]) & 1]", "prefix = 1"),
     # the Zinbiel envelope's binary part drops the (-1)^{deg} twist.
     "zinf_q2_sign_drop": Patch("envelopes", "_q2_wedge", "return -product", "return product"),
     # the lift's binary part on two tail factors (l2, the symmetrised shifted
@@ -67,7 +67,7 @@ PATCHES = {
                               "scale = 1 if b.degree == 1 else _inverse(b.degree)", "scale = 1"),
     # the symmetric-word-to-pair-word embedding loses its Koszul signs.
     "embed_unsigned": Patch("words", "embed_sym_into_pair",
-                            "sign = -1 if odd and moved else 1", "sign = 1"),
+                            "sign = SIGN[odd & moved]", "sign = 1"),
 }
 
 ALL_MUTATION_NAMES = list(PATCHES)

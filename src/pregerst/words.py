@@ -45,36 +45,44 @@ SHIFT2 (the word seen one shift deeper) and sums the legs' |x| for BASE; Sym
 and Pair just sum their children in each view; a model atom has its
 generator's degree.
 
-One signed-sum kernel.  mu and the shuffles add coeff * sign at each key of
-a term into a plain dict, through one accumulator, _add_signed, that drops a
-zero as it appears and checks the term cap on each new key.  A key is a
-factor tuple placed by a cached itemgetter, or the int code of an
-arrangement.  shuffle_terms returns its dict of factor tuples as it stands,
-and only shuffle_product makes Tensor words of them.  mu places a single
-word.  On a sum whose first word has distinct factors, each word that
-rearranges the first is keyed by its arrangement code, a row cached per code
-lists the codes of mu_n's terms on it, and the signed coefficients go into a
-second dict; any other word is placed into the first, and each dict checks
-the cap against both.  Only the terms that survive become Tensor words.
-The code tables, like the sign tables, hold operator data only and are
-lru_caches, so mutant clears them.
+One signed-sum rule.  Only _add_term (one key) and _add_signed (a batch of
+keys with their signs) add into a sum, a plain dict key -> coefficient: a
+new key is stored as it comes and checked against the term cap, an old one
+is added to and dropped once it sums to zero.  Element.add_term skips a zero
+coefficient and calls _add_term; _cosplit_into, the coproduct bodies, the
+lift and the model kernels call it directly.
+
+mu and the shuffles add coeff * sign at each key of a term through
+_add_signed.  A key is a factor tuple placed by a cached itemgetter, or the
+int code of an arrangement.  shuffle_terms returns its dict of factor tuples
+as it stands, and only shuffle_product makes Tensor words of them.  mu
+places a single word.  On a sum whose first word has distinct factors, each
+word that rearranges the first is keyed by its arrangement code, a row
+cached per code lists the codes of mu_n's terms on it, and the signed
+coefficients go into a second dict; any other word is placed into the
+first, and each dict checks the cap against both.  Only the terms that
+survive become Tensor words.  The code tables, like the sign tables, hold
+operator data only and are lru_caches, so mutant clears them.
 
 Rows.  _relation_defect is the one evaluator of an identity given as a row
 of signed sides, compiled once by _relation_row: each side's sign is a
 function of the argument degrees, its outermost product goes through the
-kernel of its op straight into one dict (through _add_term, which drops a
-zero and checks the term cap on each new key), and each inner tree is
-computed once per call.  models._AXIOMS and envelopes._IDENTITIES are such
-rows.
+kernel of its op straight into one dict, and each inner tree is computed
+once per call.  models._AXIOMS and envelopes._IDENTITIES are such rows.
 
-Memo kernels.  _memo(table, fn, *args) computes fn(*args) once per table
-and keeps it under (fn,) + args; the tables of one call go through it (the
-coproducts' embeddings, sym_inserts and mus, cosplit_leg's images and
-coderivation_defect's images of Q), and an abort discards such a table
-whole.  The two tables of an EnvelopeContext outlive a call, so their images
-are stored through _store(table, key, fn, args), which keeps fn(*args) under
-the key its caller builds and, if fn raises, pops what fn stored on the way.
-A stored image is read, never copied or changed.
+Images.  A Context holds one table, images.  Two readers look an image up
+there under (fn,) + arguments and, on a miss, compute and store it through
+_store: _memo(ctx, fn, *args) for a function of its arguments alone (an
+embedding, a sym_insert, a mu) and _image(ctx, body, *args) for a body that
+takes the context first (a coproduct body, D, r2, an atom product, a slot
+image of the lift).  No key holds a context, nor a model: the one Context
+that holds a model, an envelopes.EnvelopeContext, holds exactly one.  _store
+keeps an image only once its computation completes: if it raises, the
+images it stored on the way are popped, so an abort leaves the table as it
+was.  A law evaluation, each public coproduct call and each
+coderivation_defect call make a Context of their own; an EnvelopeContext
+lives for one suite instance.  A stored image is read, never copied or
+changed.
 
 Text.  word_to_text prints a word in the T(...), S(...), P(...; ...) grammar
 and is every word's repr.  element_to_text prints 'p/q * word' terms in
@@ -94,6 +102,7 @@ from operator import attrgetter, itemgetter
 
 from .errors import ParseError, SchemaError, TermBudgetExceeded
 from .grading import (
+    SIGN,
     GradingView,
     Generator,
     Permutation,
@@ -381,19 +390,8 @@ class Element:
         return not self.terms
 
     def add_term(self, key, coeff):
-        if coeff == 0:
-            return
-        acc = self.terms.get(key)
-        if acc is None:
-            self.terms[key] = coeff
-            if len(self.terms) > _TERM_CAP:
-                raise TermBudgetExceeded(len(self.terms), _TERM_CAP)
-        else:
-            acc = acc + coeff
-            if acc == 0:
-                del self.terms[key]
-            else:
-                self.terms[key] = acc
+        if coeff:
+            _add_term(self.terms, key, coeff)
 
     def __add__(self, other: "Element") -> "Element":
         _check_kinds(self, other)
@@ -475,9 +473,9 @@ class Element:
         leg, one more leg per key, with the Koszul sign of carrying a map of
         degree cop_degree past earlier legs.  cop runs once per distinct leg
         word in this call."""
-        images = {}      # (cop, leg word) -> its image, for this call only
+        ctx = Context()     # cop's images of the leg words, for this call only
         out = Element()
-        _cosplit_into(out.terms, self.terms, leg, lambda w: _memo(images, cop, w).terms,
+        _cosplit_into(out.terms, self.terms, leg, lambda w: _memo(ctx, cop, w).terms,
                       cop_degree, view, ((1, ()),))
         return out
 
@@ -493,22 +491,40 @@ class Element:
         return out
 
 
-def _memo(table, fn, *args):
-    """fn(*args), once per table: kept under the key (fn,) + args, and stored
-    only once fn returns.  A caller reads what it gets and never changes it.
-    For a table of one call, which an abort discards whole."""
+class Context:
+    """What an evaluation has computed so far: images, the table of every
+    image read through _memo and _image.  Contexts compare by identity."""
+
+    __slots__ = ("images", "__weakref__")
+
+    def __init__(self):
+        self.images = {}
+
+
+def _memo(ctx: Context, fn, *args):
+    """fn(*args), once per context: ctx's stored image, to be read only."""
     key = (fn,) + args
-    found = table.get(key)
+    found = ctx.images.get(key)
     if found is None:
-        found = table[key] = fn(*args)
+        found = _store(ctx.images, key, fn, args)
+    return found
+
+
+def _image(ctx: Context, body, *args):
+    """body(ctx, *args), once per context: ctx's stored image, to be read
+    only; the key (body,) + args leaves the context out."""
+    key = (body,) + args
+    found = ctx.images.get(key)
+    if found is None:
+        found = _store(ctx.images, key, body, (ctx,) + args)
     return found
 
 
 def _store(table, key, fn, args):
-    """Store fn(*args) in table under key and return it, for a table that
-    outlives a call.  If fn raises, the entries it added to the table on the
-    way (images it read and stored first) are popped, newest first, so an
-    aborted fn leaves the table exactly as it was."""
+    """Store fn(*args) in table under key and return it.  If fn raises, the
+    entries it added to the table on the way (images it read and stored
+    first) are popped, newest first, so an aborted fn leaves the table
+    exactly as it was."""
     size = len(table)
     try:
         found = fn(*args)
@@ -526,9 +542,8 @@ def _cosplit_into(acc: dict, terms: dict, leg: int, image, cop_degree: int,
     image(its leg word) replaces that leg, signed for carrying a map of
     degree cop_degree past the earlier legs, and goes into the signed sum
     acc once for each (scale, voltes) of outs, times scale and with each
-    volte v, the graded swap of word legs (v, v + 1), applied in turn.
-    Zeros and the term cap are handled as in _add_signed."""
-    get = acc.get
+    volte v, the graded swap of word legs (v, v + 1), applied in turn,
+    through _add_term."""
     for legs, c in terms.items():
         _require_legs(legs, leg + 1)
         if cop_degree & 1 and sum(degree(w, view) for w in legs[:leg]) & 1:
@@ -544,13 +559,7 @@ def _cosplit_into(acc: dict, terms: dict, leg: int, image, cop_degree: int,
                     if a.degrees[view] & 1 and b.degrees[view] & 1:
                         c2 = -c2
                     key = key[:v] + (b, a) + key[v + 2:]
-                c2 += get(key, 0)
-                if c2:
-                    acc[key] = c2
-                    if len(acc) > _TERM_CAP:
-                        raise TermBudgetExceeded(len(acc), _TERM_CAP)
-                else:
-                    del acc[key]
+                _add_term(acc, key, c2)
 
 
 def _add_term(acc: dict, key, c):
@@ -642,7 +651,7 @@ def _relation_defect(row, ops, args, view: GradingView, what: str) -> Element:
         odd = 0
         for n in parity:
             odd ^= signs[n]
-        coeff = -1 if odd else 1
+        coeff = SIGN[odd]
         if op is None:      # a slot added as it is
             operand = slots[operands[0]]
             _add_signed(slots[target], operand, operand.values(), coeff, 0)
@@ -716,22 +725,26 @@ def _shuffle_signs(p: int, q: int, mask: int):
 def _add_signed(acc: dict, keys, signs, coeff, live: int):
     """Add coeff * sign at each key to acc, a map from keys to coefficients,
     pairing keys and signs in order; a key is a placed factor tuple or an
-    arrangement code.  As in Element.add_term, a zero is dropped as it
-    appears and the term cap is checked on each new key, against acc's terms
-    plus live terms held elsewhere."""
+    arrangement code.  As in _add_term, a zero is dropped as it appears and
+    the term cap is checked on each new key, against acc's terms plus live
+    terms held elsewhere."""
     if not coeff:
         return
     get = acc.get
     values = signs if coeff == 1 and type(coeff) is int else [coeff * sign for sign in signs]
     check = live + len(acc) + len(values) > _TERM_CAP     # else no key can reach the cap
     for key, c in zip(keys, values):
-        c += get(key, 0)
-        if c:
+        old = get(key)
+        if old is None:
             acc[key] = c
             if check and live + len(acc) > _TERM_CAP:
                 raise TermBudgetExceeded(live + len(acc), _TERM_CAP)
         else:
-            del acc[key]
+            c += old
+            if c:
+                acc[key] = c
+            else:
+                del acc[key]
 
 
 def _tensors(acc: dict) -> Element:
@@ -896,7 +909,7 @@ def embed_sym_into_pair(word: Sym, view: GradingView) -> Element:
     out = Element()
     for h, f in enumerate(factors):
         odd = f.degrees[view] & 1
-        sign = -1 if odd and moved else 1
+        sign = SIGN[odd & moved]
         moved ^= odd
         out.add_term(Pair(f, Sym(factors[:h] + factors[h + 1:])), sign)
     return out

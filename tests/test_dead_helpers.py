@@ -54,3 +54,32 @@ def test_every_private_helper_is_used():
                 orphans.append("%s.%s" % (module, name))
     assert defined > 50
     assert orphans == []
+
+
+def scopes_reading(tree, name):
+    """The dotted scopes (nested functions and classes, '' for the module)
+    in which tree reads name, bare or as an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Name) and child.id == name
+                  and isinstance(child.ctx, ast.Load)) or (
+                    isinstance(child, ast.Attribute) and child.attr == name):
+                found.add(".".join(scope))
+            visit(child, inner)
+    visit(tree, ())
+    return found
+
+
+def test_only_the_signed_sum_rule_reads_the_term_cap():
+    """The term cap is read by the one signed-sum rule, words._add_term and
+    words._add_signed, and by get_term_cap; every other sum adds through
+    them, so a budget passed down has exactly two readers to replace."""
+    readers = {"%s.%s" % (path.stem, scope)
+               for path in sorted(PACKAGE.glob("*.py"))
+               for scope in scopes_reading(ast.parse(path.read_text()), "_TERM_CAP")}
+    assert readers == {"words._add_term", "words._add_signed", "words.get_term_cap"}

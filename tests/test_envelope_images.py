@@ -1,9 +1,10 @@
-"""The images kept on an EnvelopeContext (D and r2 on words, the lift's slot
-images and the atom products): one computation per distinct argument, read
-and never changed, keyed without the context, nothing kept from an aborted
-computation, one context per suite instance, and emptied by mutant; and
-coderivation_defect's table, with one image of Q per distinct leg word and
-one embedding per distinct tail across both coproducts."""
+"""The one table of images kept on an EnvelopeContext (D and r2 on words, the
+lift's slot images and the atom products): one computation per distinct
+argument, read and never changed, keyed without the context or the model,
+nothing kept from an aborted computation, one context per suite instance,
+and emptied by mutant; and coderivation_defect's Context, with one image of
+Q per distinct leg word and one embedding per distinct tail across both
+coproducts."""
 
 import functools
 import gc
@@ -17,8 +18,6 @@ from pregerst import cooperations, envelopes, words
 from pregerst.cooperations import delta_perm, kappa
 from pregerst.envelopes import (
     EnvelopeContext,
-    _d_image,
-    _r2_image,
     coderivation_defect,
     l_infinity_q,
     m_map,
@@ -32,7 +31,7 @@ from pregerst.envelopes import (
 )
 from pregerst.errors import TermBudgetExceeded
 from pregerst.grading import SHIFT2
-from pregerst.models import FormsModel
+from pregerst.models import AlgebraModel, FormsModel
 from pregerst.mutations import mutant
 from pregerst.suites import SUITE_SPECS, SuiteConfig, run_suite
 from pregerst.words import (
@@ -61,6 +60,16 @@ def rand_pair(model, rng):
     return Element.single(Pair(head, tail), sign)
 
 
+def d_image(ctx, w):
+    """D on one tensor word, ctx's stored image."""
+    return words._image(ctx, envelopes._zinfinity_d_word, w)
+
+
+def r2_image(ctx, x, y):
+    """r2 on a pair of tensor words, ctx's stored image."""
+    return words._image(ctx, envelopes._r2_words, x, y)
+
+
 def counting(monkeypatch, name):
     """Replace the private envelopes.<name> by a wrapper that counts its
     calls per argument tuple, its first argument (a context) left out."""
@@ -74,7 +83,8 @@ def counting(monkeypatch, name):
     return calls
 
 
-# the bodies stored in ctx.images and in ctx.products
+# the bodies stored in ctx.images: images of words and slot images, and the
+# atom products
 IMAGE_BODIES = ("_r2_words", "_zinfinity_d_word", "_r2_shifted", "_symmetrised",
                 "_d_atom", "_diamond_shifted")
 PRODUCT_BODIES = ("_diamond", "_bracket_atoms", "_q2_wedge")
@@ -83,7 +93,7 @@ PRODUCT_BODIES = ("_diamond", "_bracket_atoms", "_q2_wedge")
 def test_each_body_runs_once_per_distinct_argument_per_context(monkeypatch):
     image_calls = [counting(monkeypatch, name) for name in IMAGE_BODIES]
     product_calls = [counting(monkeypatch, name) for name in PRODUCT_BODIES]
-    reads = counting(monkeypatch, "_image")
+    reads = counting(monkeypatch, "_image")     # words._image, as envelopes reads it
     model = FormsModel(2)
     rng = random.Random(4417)
     cop = lambda e: delta_perm(e, SHIFT2)
@@ -101,12 +111,13 @@ def test_each_body_runs_once_per_distinct_argument_per_context(monkeypatch):
         assert q_total(ctx, q_total(ctx, elem)).is_zero()
         for calls in image_calls + product_calls:
             assert set(calls.values()) <= {1}
-        assert sum(map(len, image_calls)) == len(ctx.images)
-        assert sum(map(len, product_calls)) == len(ctx.products)
+        assert sum(map(len, image_calls + product_calls)) == len(ctx.images)
         seen.update(name for name, calls in zip(IMAGE_BODIES + PRODUCT_BODIES,
                                                 image_calls + product_calls) if calls)
-        computed += len(ctx.images)
-        read += sum(reads.values())
+        # the images of words and the slot images, the atom products left out
+        slot_bodies = {getattr(envelopes, name) for name in IMAGE_BODIES}
+        computed += sum(map(len, image_calls))
+        read += sum(n for args, n in reads.items() if args[0] in slot_bodies)
     # Q reaches every body but those of the atom envelopes
     assert set(seen) == set(IMAGE_BODIES + PRODUCT_BODIES) - {"_d_atom", "_diamond_shifted"}
     # the images were read more often than they were computed
@@ -159,24 +170,23 @@ def test_stored_images_are_read_never_changed():
     model = FormsModel(2)
     ctx = EnvelopeContext(model)
     every_public_map_and_checker(ctx, model, random.Random(6021))
-    tables = (ctx.images, ctx.products)
-    stored = [dict(table) for table in tables]
-    snapshot = [{key: dict(image.terms) for key, image in table.items()} for table in stored]
-    assert len(snapshot[0]) > 100 and len(snapshot[1]) > 20
+    table = ctx.images
+    before = dict(table)
+    terms = {key: dict(image.terms) for key, image in before.items()}
+    products = {getattr(envelopes, name) for name in PRODUCT_BODIES}
+    assert sum(key[0] in products for key in before) > 20
+    assert sum(key[0] not in products for key in before) > 100
     # a caller that changes every result it gets changes nothing stored
     for result in every_public_map_and_checker(ctx, model, random.Random(6021)):
         result.terms.clear()
-    for table, before, terms in zip(tables, stored, snapshot):
-        assert table == before
-        assert all(table[key] is image for key, image in before.items())
-        assert {key: image.terms for key, image in table.items()} == terms
-    # every key is (body, model, arguments), and none holds a context
-    assert {key[:2] for key in ctx.images} == {
-        (getattr(envelopes, name), model) for name in IMAGE_BODIES}
-    assert {key[:2] for key in ctx.products} == {
-        (getattr(envelopes, name), model) for name in PRODUCT_BODIES}
-    assert not any(isinstance(part, EnvelopeContext)
-                   for table in tables for key in table for part in key)
+    assert table == before
+    assert all(table[key] is image for key, image in before.items())
+    assert {key: image.terms for key, image in table.items()} == terms
+    # every key is (body,) + arguments, and none holds a context or a model
+    assert {key[0] for key in table} == {
+        getattr(envelopes, name) for name in IMAGE_BODIES + PRODUCT_BODIES}
+    assert not any(isinstance(part, (EnvelopeContext, AlgebraModel))
+                   for key in table for part in key)
 
 
 def test_a_term_cap_abort_leaves_no_entry():
@@ -188,15 +198,16 @@ def test_a_term_cap_abort_leaves_no_entry():
     set_term_cap(1)
     try:
         with pytest.raises(TermBudgetExceeded):
-            _r2_image(ctx, x, y)
+            r2_image(ctx, x, y)
         with pytest.raises(TermBudgetExceeded):
-            _d_image(ctx, w)
+            d_image(ctx, w)
     finally:
         set_term_cap(previous)
     assert ctx.images == {}
-    assert len(_r2_image(ctx, x, y)) > 1 and len(_d_image(ctx, w)) > 1
-    assert set(ctx.images) == {(envelopes._r2_words, model, x, y),
-                               (envelopes._zinfinity_d_word, model, w)}
+    assert len(r2_image(ctx, x, y)) > 1 and len(d_image(ctx, w)) > 1
+    words_images = (envelopes._r2_words, envelopes._zinfinity_d_word)
+    assert {key for key in ctx.images if key[0] in words_images} == {
+        (envelopes._r2_words, x, y), (envelopes._zinfinity_d_word, w)}
 
 
 def test_an_aborted_image_pops_the_images_it_stored_first():
@@ -204,20 +215,25 @@ def test_an_aborted_image_pops_the_images_it_stored_first():
     u1, u2 = Gen(model.atom((1, 0), ())), Gen(model.atom((0, 1), ()))
     x, y = Tensor((u1, u2)), Tensor((u2, u1, u1))
     ctx = EnvelopeContext(model)
-    _d_image(ctx, y)
+    d_image(ctx, y)
 
     def reads_then_aborts(ctx, x, y):
         # a slot body that reads and stores two images, then hits the cap
-        _r2_image(ctx, x, y)
-        _d_image(ctx, x)
+        r2_image(ctx, x, y)
+        d_image(ctx, x)
         raise TermBudgetExceeded(2, 1)
     before = dict(ctx.images)
     with pytest.raises(TermBudgetExceeded):
-        envelopes._image(ctx, reads_then_aborts, x, y)
+        words._image(ctx, reads_then_aborts, x, y)
     assert list(ctx.images.items()) == list(before.items())
-    # the same reads outside an aborted body are kept
-    _r2_image(ctx, x, y)
-    assert len(ctx.images) == len(before) + 1
+    # the same reads outside an aborted body are kept, with the atom
+    # products they read
+    r2_image(ctx, x, y)
+    d_image(ctx, x)
+    added = set(ctx.images) - set(before)
+    assert {(envelopes._r2_words, x, y), (envelopes._zinfinity_d_word, x)} < added
+    assert all(key[0] in (envelopes._r2_words, envelopes._zinfinity_d_word, envelopes._diamond,
+                          envelopes._bracket_atoms, envelopes._q2_wedge) for key in added)
 
 
 def test_coderivation_defect_applies_q_once_per_distinct_leg_word():

@@ -67,6 +67,7 @@ from .words import (
     embed_element,
     embed_sym_into_pair,
     mu,
+    mu_shuffle,
     normalize,
     parse_element,
     shuffle_product,

@@ -51,9 +51,8 @@ from .words import (
     Tensor,
     element_to_text,
     get_term_cap,
-    mu,
+    mu_shuffle,
     set_term_cap,
-    shuffle_product,
     sym_word,
 )
 
@@ -320,8 +319,8 @@ def _build_mu_shuffle(config):
                 right = Tensor(atoms[p:])
                 text = "p=%d q=%d degs=%s" % (p, n - p, list(pattern))
 
-                def thunk(left=left, right=right, n=n):
-                    return mu(n, shuffle_product(left, right, SHIFT1), SHIFT1)
+                def thunk(left=left, right=right):
+                    return mu_shuffle(left, right, SHIFT1)
                 out.append(Instance("mu_shuffle", text, thunk))
     return out
 
@@ -476,8 +475,7 @@ def _build_mutation_sanity(config):
             for pattern in [(1, 1), (1, 2, 1), (1, 1, 2)]:
                 atoms = _x_word(d + 1 for d in pattern).factors
                 for p in range(1, len(pattern)):
-                    sh = shuffle_product(Tensor(atoms[:p]), Tensor(atoms[p:]), SHIFT1)
-                    yield mu(len(pattern), sh, SHIFT1)
+                    yield mu_shuffle(Tensor(atoms[:p]), Tensor(atoms[p:]), SHIFT1)
         return _first_nonzero(defects())
     add("shuffle_unsigned", "mu_shuffle", "odd-degree shuffle words", sh_run)
 

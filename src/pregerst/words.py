@@ -55,14 +55,17 @@ lift and the model kernels call it directly.
 mu and the shuffles add coeff * sign at each key of a term through
 _add_signed.  A key is a factor tuple placed by a cached itemgetter, or the
 int code of an arrangement.  shuffle_terms returns its dict of factor tuples
-as it stands, and only shuffle_product makes Tensor words of them.  mu
-places a single word.  On a sum whose first word has distinct factors, each
-word that rearranges the first is keyed by its arrangement code, a row
-cached per code lists the codes of mu_n's terms on it, and the signed
-coefficients go into a second dict; any other word is placed into the
-first, and each dict checks the cap against both.  Only the terms that
-survive become Tensor words.  The code tables, like the sign tables, hold
-operator data only and are lru_caches, so mutant clears them.
+as it stands, and only shuffle_product makes Tensor words of them.  mu's one
+kernel, _mu_sum, takes a sum of factor tuples: mu hands it the factors of
+its checked words and mu_shuffle the shuffled tuples themselves, so mu of a
+shuffle builds no input word.  A single tuple is placed.  On a sum whose
+first tuple has distinct factors, each tuple that rearranges the first is
+keyed by its arrangement code, a row cached per code lists the codes of
+mu_n's terms on it, and the signed coefficients go into a second dict; any
+other tuple is placed into the first, and each dict checks the cap against
+both.  Only the terms that survive become Tensor words.  The code tables,
+like the sign tables, hold operator data only and are lru_caches, so mutant
+clears them.
 
 Rows.  _relation_defect is the one evaluator of an identity given as a row
 of signed sides, compiled once by _relation_row: each side's sign is a
@@ -760,7 +763,10 @@ def shuffle_terms(left, right, view: GradingView) -> dict:
     """Signed sum over (p,q)-shuffles of the concatenated factor tuples, as a
     map from each surviving shuffled factor tuple to its sign.  An empty side
     gives the one unshuffled tuple, {left + right: 1}; with both sides empty
-    that is the empty tuple."""
+    that is the empty tuple.  The map is returned as it stands: mu_shuffle
+    and the pre-Lie extension r2 read the tuples, and only shuffle_product
+    makes Tensor words of them, so mu-shuffle-lemma builds no word on
+    either side of mu."""
     left, right = tuple(left), tuple(right)
     factors = left + right
     if not (left and right):
@@ -842,28 +848,49 @@ def mu_word(word: Tensor, view: GradingView) -> Element:
 
 
 def mu(n: int, elem, view: GradingView) -> Element:
-    """mu_n on a tensor word or element whose words all have length n.  A
-    single word is placed; on a sum whose first word, base, has distinct
-    factors, a word that rearranges base is added by arrangement code, and
-    only the codes that survive are placed onto base.  mu_n's tables are
-    built only once a word of length n has passed its check."""
+    """mu_n on a tensor word or element whose words all have length n.  Every
+    key is checked here, before mu_n's tables are built, and _mu_sum works
+    on the words' factor tuples.  mu_shuffle hands _mu_sum a shuffle's
+    factor tuples directly, so mu-shuffle-lemma builds no word on either
+    side: none for a shuffled term and, as every term cancels, none for the
+    output."""
     if n < 1:
         raise ValueError("mu arity must be >= 1")
-    terms = {elem: 1} if isinstance(elem, Tensor) else elem.terms
+    terms = {}      # factor tuple -> coefficient
+    for w, c in ({elem: 1} if isinstance(elem, Word) else elem.terms).items():
+        if type(w) is not Tensor or len(w.factors) != n:
+            raise SchemaError("mu_%d needs tensor words of length %d" % (n, n))
+        terms[w.factors] = c
+    return _mu_sum(n, terms, view)
+
+
+def mu_shuffle(left: Tensor, right: Tensor, view: GradingView) -> Element:
+    """mu_{p+q} of the shuffle product of two tensor words, checked here as
+    words once.  _mu_sum reads the factor tuples of shuffle_terms, so no
+    word is built for a shuffled term, and only a term of mu that survives
+    becomes a word."""
+    if not isinstance(left, Tensor) or not isinstance(right, Tensor):
+        raise SchemaError("shuffle product expects tensor words")
+    return _mu_sum(len(left.factors) + len(right.factors),
+                   shuffle_terms(left.factors, right.factors, view), view)
+
+
+def _mu_sum(n: int, terms: dict, view: GradingView) -> Element:
+    """mu_n on a sum of factor tuples of length n, a map from factor tuple to
+    coefficient, whose keys the caller has checked.  A single tuple is
+    placed; on a sum whose first tuple, base, has distinct factors, a tuple
+    that rearranges base is added by arrangement code, and only the codes
+    that survive are placed onto base."""
     acc = {}        # factor tuple -> coefficient
     coded = {}      # arrangement code -> coefficient
     slot = None     # base factor -> its position, when the sum is coded
     if len(terms) > 1:
-        first = next(iter(terms))
-        base = first.factors if type(first) is Tensor else ()
-        if len(set(base)) == len(base) == n:
+        base = next(iter(terms))
+        if len(set(base)) == n:
             slot = {f: i for i, f in enumerate(base)}
             codes = _arrangements(n)[0]
             absent = repeat(n)      # the position given to a factor that base lacks
-    for w, c in terms.items():
-        if type(w) is not Tensor or len(w.factors) != n:
-            raise SchemaError("mu_%d needs tensor words of length %d" % (n, n))
-        factors = w.factors
+    for factors, c in terms.items():
         signs = _mu_signs(n, _odd_mask(factors, view))
         if slot is not None:
             arrangement = bytes(map(slot.get, factors, absent))

@@ -11,7 +11,7 @@ import pytest
 from pregerst import words
 from pregerst.errors import TermBudgetExceeded
 from pregerst.grading import BASE, SHIFT1, SHIFT2, GeneratorRegistry
-from pregerst.suites import SuiteConfig, run_suite
+from pregerst.suites import SUITE_SPECS, SuiteConfig, run_suite
 from pregerst.words import (
     Element,
     Gen,
@@ -166,6 +166,23 @@ def test_mu_and_shuffle_stop_at_the_term_cap():
             assert len(mu(n, elem, SHIFT1)) == size
     finally:
         set_term_cap(old)
+
+
+def test_mu_shuffle_lemma_builds_no_tensor_word(monkeypatch):
+    """One mu-shuffle-lemma instance at p = q = 3, its input words held by
+    the instance: mu reads the shuffle's factor tuples, so neither a
+    shuffled term nor a term of mu becomes a Tensor word."""
+    config = SuiteConfig("mu-shuffle-lemma").resolved()
+    instance = next(i for i in SUITE_SPECS[config.suite].builder(config)
+                    if i.input_text == "p=3 q=3 degs=[0, 1, 2, 1, 0, 2]")
+    kept = []
+    keep = words._keep_tensor
+    monkeypatch.setattr(words, "_keep_tensor", lambda word, key: kept.append(key) or keep(word, key))
+    with no_collection():
+        before = len(words._TENSORS)
+        assert instance.thunk() == Element()
+        assert len(words._TENSORS) == before
+    assert kept == []
 
 
 def test_mu_of_shuffles_builds_no_output_word():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from pregerst import words
 from pregerst.errors import ParseError, SchemaError, TermBudgetExceeded
 from pregerst.grading import SHIFT1, SHIFT2, GeneratorRegistry
+from pregerst.mutations import mutant
 from pregerst.words import (
     Element,
     Gen,
@@ -20,6 +22,7 @@ from pregerst.words import (
     embed_sym_into_pair,
     get_term_cap,
     mu,
+    mu_shuffle,
     normalize,
     parse_element,
     set_term_cap,
@@ -202,9 +205,15 @@ def test_mu_kills_shuffles_small():
 
 
 def test_mu_length_mismatch(reg):
+    """mu refuses a word, or a key of a sum, that is not a tensor word of
+    its length."""
     a, b = gens(reg, [("a", 2), ("b", 2)])
-    with pytest.raises(SchemaError):
-        mu(3, Tensor((a, b)), SHIFT1)
+    _, sym = sym_word([Tensor((a,)), Tensor((b,))], SHIFT2)
+    for n, elem in [(3, Tensor((a, b))), (3, Element.single(Tensor((a, b)))),
+                    (2, Element({Tensor((a, b)): 1, Tensor((a, b, a)): 1})),
+                    (2, Element.single(sym)), (1, a)]:
+        with pytest.raises(SchemaError):
+            mu(n, elem, SHIFT1)
 
 
 def test_mu_checks_its_words_before_it_builds_a_table(reg, monkeypatch):
@@ -217,6 +226,54 @@ def test_mu_checks_its_words_before_it_builds_a_table(reg, monkeypatch):
     with pytest.raises(SchemaError):
         mu(40, Tensor((a,)), SHIFT1)
     assert mu(40, Element(), SHIFT1).is_zero()
+
+
+@pytest.mark.parametrize("unsigned", [False, True])
+def test_mu_of_shuffle_tuples_matches_mu_of_shuffle_words(unsigned):
+    """mu's kernel on the shuffle's factor tuples, reached through
+    mu_shuffle and directly, against mu of the shuffle's Tensor words, for
+    every degree pattern in {1,2,3}^n, n <= 5, and every split.  Clean, all
+    three are zero; with unsigned shuffles they are not."""
+    nonzero = 0
+    with mutant("shuffle_unsigned") if unsigned else nullcontext():
+        for n in range(2, 6):
+            for pattern in itertools.product((1, 2, 3), repeat=n):
+                reg = GeneratorRegistry()
+                atoms = [Gen(reg.declare("g%d" % i, d)) for i, d in enumerate(pattern)]
+                for p in range(1, n):
+                    left, right = Tensor(atoms[:p]), Tensor(atoms[p:])
+                    expected = mu(n, shuffle_product(left, right, SHIFT1), SHIFT1)
+                    tuples = shuffle_terms(left.factors, right.factors, SHIFT1)
+                    assert words._mu_sum(n, tuples, SHIFT1) == expected, (pattern, p)
+                    assert mu_shuffle(left, right, SHIFT1) == expected, (pattern, p)
+                    nonzero += not expected.is_zero()
+    assert bool(nonzero) == unsigned
+
+
+def test_mu_gives_the_same_element_from_tuples_as_from_words(reg):
+    """A coded sum (rearrangements of distinct factors), a sum with a
+    repeated factor and a sum over two multisets: the kernel on the factor
+    tuples gives what mu gives on the Tensor words.  The last two take the
+    placed paths, from the first tuple and from a later one."""
+    a, b, c, d = gens(reg, [("a", 2), ("b", 1), ("c", 2), ("d", 3)])
+    sums = [
+        {(a, b, c): 1, (c, a, b): Fraction(-2, 3), (b, c, a): 5},
+        {(a, a, b): 1, (a, b, a): -1, (b, a, a): 2},
+        {(a, b, c): 1, (d, a, b): Fraction(1, 2), (c, a, b): -3, (b, d, a): 4},
+    ]
+    for tuples in sums:
+        elem = Element({Tensor(f): coeff for f, coeff in tuples.items()})
+        got = words._mu_sum(3, tuples, SHIFT1)
+        assert got == mu(3, elem, SHIFT1)
+        assert not got.is_zero()
+
+
+def test_mu_shuffle_refuses_arguments_that_are_not_tensor_words(reg):
+    a, b = gens(reg, [("a", 2), ("b", 2)])
+    _, sym = sym_word([Tensor((a,)), Tensor((b,))], SHIFT2)
+    for left, right in [(a, Tensor((b,))), (Tensor((a,)), sym), ((a,), (b,))]:
+        with pytest.raises(SchemaError):
+            mu_shuffle(left, right, SHIFT1)
 
 
 def test_sym_product_rules(reg):

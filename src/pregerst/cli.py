@@ -73,17 +73,18 @@ def _build_parser():
                     "pre-Gerstenhaber structures")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("verify", help="run one verification suite")
+    # a flag left out is not set, so SuiteConfig holds every default
+    v = sub.add_parser("verify", help="run one verification suite",
+                       argument_default=argparse.SUPPRESS)
     v.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    v.add_argument("--model", choices=["forms", "formal"], default=None)
-    v.add_argument("--n-coords", type=int, default=2)
-    v.add_argument("--max-poly-degree", type=int, default=3)
-    v.add_argument("--max-tensor-len", type=int, default=None)
-    v.add_argument("--max-tail-factors", type=int, default=None)
-    v.add_argument("--samples", type=int, default=None)
-    v.add_argument("--seed", type=int, default=42)
-    v.add_argument("--report", choices=["text", "structured"], default="text")
-    v.add_argument("--term-cap", type=int, default=10**6)
+    v.add_argument("--n-coords", type=int)
+    v.add_argument("--max-poly-degree", type=int)
+    v.add_argument("--max-tensor-len", type=int)
+    v.add_argument("--max-tail-factors", type=int)
+    v.add_argument("--samples", type=int)
+    v.add_argument("--seed", type=int)
+    v.add_argument("--report", dest="report_format", choices=["text", "structured"])
+    v.add_argument("--term-cap", type=int)
     v.add_argument("--out", default=None, help="write the report to a file")
 
     e = sub.add_parser("eval", help="apply one operation to an element")
@@ -116,17 +117,14 @@ def _emit(text, out_path, code):
 
 
 def _cmd_verify(args) -> int:
-    config = SuiteConfig(
-        suite=args.suite, model=args.model, n_coords=args.n_coords,
-        max_poly_degree=args.max_poly_degree, max_tensor_len=args.max_tensor_len,
-        max_tail_factors=args.max_tail_factors, samples=args.samples,
-        seed=args.seed, report_format=args.report, term_cap=args.term_cap)
+    config = SuiteConfig(**{k: v for k, v in vars(args).items() if k not in ("command", "out")})
     try:
         report = run_suite(config)
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    lines = report.structured_lines() if args.report == "structured" else report.text_lines()
+    lines = (report.structured_lines() if config.report_format == "structured"
+             else report.text_lines())
     return _emit("\n".join(lines), args.out, report.exit_code())
 
 

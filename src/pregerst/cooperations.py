@@ -210,6 +210,8 @@ def delta_concat(elem: Element) -> Element:
 def cocrochet_lie(elem: Element, view: GradingView = SHIFT1) -> Element:
     """Co-commutator (1 - volte) of the deconcatenation; coantisymmetric and
     satisfies coJacobi because deconcatenation is coassociative."""
+    if not all(isinstance(word, Tensor) for word in elem.terms):
+        raise SchemaError("cocrochet_lie expects tensor words")
     d = delta_concat(elem)
     return d - d.volte(0, view)
 

@@ -1,7 +1,13 @@
 """Named verification suites, deterministic sampling and report assembly.
 
-A suite is a list of instances; each instance evaluates one law, axiom or
-operator identity on one input and returns the exact defect, an Element.
+A suite is one SuiteSpec in SUITE_SPECS: its builder, its model and its
+default sizes.  The builder returns instances; each evaluates one law, axiom
+or operator identity on one input and returns the exact defect, an Element.
+Every suite but mutation-sanity is built by _suite from rows (check_id,
+inputs, check): inputs(model, config) yields (input text, arguments) pairs,
+sampled by _draws or enumerated, and each instance returns check(model,
+*arguments).  A suite runs on its spec's model alone.
+
 run_suite is the one place that turns a defect into a verdict and text: zero
 passes and reads "zero", anything else fails and reads as element_to_text
 renders it (a mutation-sanity instance, which expects a nonzero defect, has
@@ -22,10 +28,12 @@ state, never silently folded into pass or fail.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 from .cooperations import LawId, delta_perm, kappa, law_defect
 from .envelopes import (
@@ -56,13 +64,10 @@ from .words import (
     sym_word,
 )
 
-import itertools
-
 
 @dataclass
 class SuiteConfig:
     suite: str
-    model: str = None
     n_coords: int = 2
     max_poly_degree: int = 3
     max_tensor_len: int = None
@@ -77,27 +82,25 @@ class SuiteConfig:
         if spec is None:
             raise ValueError("unknown suite %r" % self.suite)
         out = SuiteConfig(**vars(self))
-        if out.model is None:
-            out.model = spec.model
-        if out.model != spec.model:
-            raise ValueError("suite %s needs model %r, got %r"
-                             % (self.suite, spec.model, out.model))
-        if out.max_tensor_len is None:
-            out.max_tensor_len = spec.max_tensor_len
-        if out.max_tail_factors is None:
-            out.max_tail_factors = spec.max_tail_factors
-        if out.samples is None:
-            out.samples = spec.samples
+        for name in ("max_tensor_len", "max_tail_factors", "samples"):
+            if getattr(out, name) is None:
+                setattr(out, name, getattr(spec, name))
         for name in ("n_coords", "max_poly_degree", "max_tensor_len",
                      "max_tail_factors", "samples", "term_cap"):
             if getattr(out, name) is not None and getattr(out, name) < 1:
                 raise ValueError("%s must be positive" % name)
         return out
 
+    @property
+    def model(self):
+        """The model of the suite's spec, the one it runs on."""
+        return SUITE_SPECS[self.suite].model
+
     def as_dict(self):
-        """Every field but report_format, which no report records."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "report_format"}
+        """Every field but report_format, which no report records, and the model."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "report_format"}
+        out["model"] = self.model
+        return out
 
 
 @dataclass(slots=True)
@@ -238,21 +241,17 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# samplers: sample(model, rng, config) returns a draw, a tuple of elements,
+# or None for a draw that vanished
 # ---------------------------------------------------------------------------
 
-def _forms_model(config):
-    return FormsModel(config.n_coords)
-
-
 def _sample_triple(model, rng, config):
-    return [model.sample_form(rng, max_poly_degree=config.max_poly_degree)
-            for _ in range(3)]
+    return tuple(model.sample_form(rng, max_poly_degree=config.max_poly_degree)
+                 for _ in range(3))
 
 
-def _rand_atom_word(model, rng, length, max_poly):
-    return Tensor(tuple(Gen(model.sample_atom(rng, max_poly_degree=max_poly))
-                        for _ in range(length)))
+def _rand_gens(model, rng, count, max_poly):
+    return [Gen(model.sample_atom(rng, max_poly_degree=max_poly)) for _ in range(count)]
 
 
 def _x_word(base_degrees):
@@ -260,164 +259,118 @@ def _x_word(base_degrees):
     return Tensor(tuple(Gen(Generator("x%d" % i, d)) for i, d in enumerate(base_degrees)))
 
 
-def _formal_atoms(rng, count, max_base=4):
-    """Distinct generators g0, g1, ... of random base degrees."""
-    return [Gen(Generator("g%d" % i, rng.randint(1, max_base))) for i in range(count)]
+def _formal_words(rng, lengths):
+    """Tensor words of these lengths over distinct generators g0, g1, ... of
+    random base degrees, so no two are equal."""
+    it = iter([Gen(Generator("g%d" % i, rng.randint(1, 4))) for i in range(sum(lengths))])
+    return [Tensor(tuple(next(it) for _ in range(n))) for n in lengths]
 
 
-def _rand_formal_pair(rng, max_head, max_tails, max_tlen):
-    lengths = [rng.randint(1, max_head)]
-    for _ in range(rng.randint(0, max_tails)):
-        lengths.append(rng.randint(1, max_tlen))
-    atoms = _formal_atoms(rng, sum(lengths))
-    it = iter(atoms)
-    head = Tensor(tuple(next(it) for _ in range(lengths[0])))
-    tails = [Tensor(tuple(next(it) for _ in range(L))) for L in lengths[1:]]
-    # distinct generators, so no two tail factors are equal and none vanishes
-    sign, tail = sym_word(tails, SHIFT2)
-    return Element.single(Pair(head, tail), sign)
+def _sym_draw(factors, head=None):
+    """The draw of S(factors), or of P(head; S(factors)) given a head; None
+    if the symmetric word vanished."""
+    sign, tail = sym_word(factors, SHIFT2)
+    if tail is None:
+        return None
+    return (Element.single(tail if head is None else Pair(head, tail), sign),)
 
 
-def _rand_formal_sym_of_tensors(rng, max_factors, max_tlen):
-    lengths = [rng.randint(1, max_tlen) for _ in range(rng.randint(1, max_factors))]
-    atoms = _formal_atoms(rng, sum(lengths))
-    it = iter(atoms)
-    facs = [Tensor(tuple(next(it) for _ in range(L))) for L in lengths]
-    sign, w = sym_word(facs, SHIFT2)
-    return Element.single(w, sign)
+def _sample_formal_pair(model, rng, config):
+    lengths = [rng.randint(1, config.max_tensor_len)]
+    for _ in range(rng.randint(0, config.max_tail_factors)):
+        lengths.append(rng.randint(1, 2))
+    head, *tails = _formal_words(rng, lengths)
+    return _sym_draw(tails, head)
 
 
-# ---------------------------------------------------------------------------
-# suite builders
-# ---------------------------------------------------------------------------
-
-def _axiom_suite(axioms):
-    def build(config):
-        model = _forms_model(config)
-        out = []
-        for axiom in axioms:
-            for i in range(config.samples):
-                rng = _rng(config, i, axiom.value)
-                args = _sample_triple(model, rng, config)
-                text = "; ".join(element_to_text(a) for a in args)
-
-                def thunk(axiom=axiom, args=args):
-                    return axiom_defect(model, axiom, args)
-                out.append(Instance(axiom.value, text, thunk))
-        return out
-    return build
-
-
-def _build_mu_shuffle(config):
-    out = []
-    bound = config.max_tensor_len
-    for n in range(2, bound + 1):
-        for pattern in itertools.product((0, 1, 2), repeat=n):
-            atoms = _x_word(d + 1 for d in pattern).factors
-            for p in range(1, n):
-                left = Tensor(atoms[:p])
-                right = Tensor(atoms[p:])
-                text = "p=%d q=%d degs=%s" % (p, n - p, list(pattern))
-
-                def thunk(left=left, right=right):
-                    return mu_shuffle(left, right, SHIFT1)
-                out.append(Instance("mu_shuffle", text, thunk))
-    return out
-
-
-def _build_leibniz(config):
-    out = []
-    for n in range(1, config.max_tensor_len + 1):
-        for pattern in itertools.product((1, 2, 3), repeat=n):
-            elem = Element.single(_x_word(d + 1 for d in pattern))
-            out.append(Instance("leibniz_coalg", "degs=%s" % list(pattern),
-                                lambda elem=elem: law_defect(LawId.LEIBNIZ_COALG, elem)))
-    return out
-
-
-def _law_instances(config, law, draw, salt=None):
-    """Instances of the law on config.samples draws; draw k is from
-    _rng(config, k, salt), the salt being the law's name unless given."""
-    out = []
-    for i in range(config.samples):
-        elem = draw(_rng(config, i, salt or law.value))
-        out.append(Instance(law.value, element_to_text(elem),
-                            lambda elem=elem: law_defect(law, elem)))
-    return out
-
-
-def _law_on_formal_pairs(*laws):
-    def build(config):
-        def draw(rng):
-            return _rand_formal_pair(rng, config.max_tensor_len, config.max_tail_factors, 2)
-        return [inst for law in laws for inst in _law_instances(config, law, draw)]
-    return build
-
-
-def _build_kappa_cojacobi(config):
-    return (_law_on_formal_pairs(LawId.KAPPA_COJACOBI)(config)
-            + _law_instances(config, LawId.KAPPA_COSYM,
-                             lambda rng: _rand_formal_sym_of_tensors(rng, 2, 3), "cosym"))
-
-
-def _envelope_suite(check_id, sample, check):
-    """One instance per draw of sample(model, rng, config): a tuple of
-    elements, or None for a draw that vanished.  Each instance returns
-    check(ctx, *elements) on an EnvelopeContext of its own."""
-    def build(config):
-        model = _forms_model(config)
-        out = []
-        for i in range(config.samples):
-            args = sample(model, _rng(config, i), config)
-            if args is None:
-                continue
-            text = "; ".join(element_to_text(e) for e in args)
-            out.append(Instance(check_id, text,
-                                lambda args=args: check(EnvelopeContext(model), *args)))
-        return out
-    return build
-
-
-def _square(op, ctx, elem):
-    return op(ctx, op(ctx, elem))
+def _sample_formal_sym(model, rng, config):
+    return _sym_draw(_formal_words(rng, [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]))
 
 
 def _sample_tensor_words(*bounds):
     """A sampler of one tensor word per bound, of length 1 to that bound, or
     to config.max_tensor_len for a bound of None."""
     def sample(model, rng, config):
-        return tuple(Element.single(_rand_atom_word(
-            model, rng, rng.randint(1, bound or config.max_tensor_len), config.max_poly_degree))
+        return tuple(Element.single(Tensor(_rand_gens(
+            model, rng, rng.randint(1, bound or config.max_tensor_len), config.max_poly_degree)))
             for bound in bounds)
     return sample
 
 
 def _sample_generator_pair(model, rng, config):
-    head = Gen(model.sample_atom(rng, max_poly_degree=config.max_poly_degree))
+    (head,) = _rand_gens(model, rng, 1, config.max_poly_degree)
     # generator-level pair words carry single-atom tail factors
-    facs = [Gen(model.sample_atom(rng, max_poly_degree=config.max_poly_degree))
-            for _ in range(rng.randint(0, 3))]
-    sign, tail = sym_word(facs, SHIFT2)
-    if tail is None:
-        return None
-    return (Element.single(Pair(head, tail), sign),)
+    return _sym_draw(_rand_gens(model, rng, rng.randint(0, 3), config.max_poly_degree), head)
 
 
 def _sample_generator_sym(model, rng, config):
-    atoms = [Gen(model.sample_atom(rng, max_poly_degree=config.max_poly_degree))
-             for _ in range(rng.randint(1, 3))]
-    sign, w = sym_word(atoms, SHIFT2)
-    if w is None:
-        return None
-    return (Element.single(w, sign),)
+    return _sym_draw(_rand_gens(model, rng, rng.randint(1, 3), config.max_poly_degree))
 
 
 def _sample_forms_pair(model, rng, config):
-    head = _rand_atom_word(model, rng, rng.randint(1, config.max_tensor_len), 1)
-    tails = [_rand_atom_word(model, rng, rng.randint(1, 2), 1)
-             for _ in range(rng.randint(0, config.max_tail_factors))]
-    sign, tail = sym_word(tails, SHIFT2)
-    return None if tail is None else (Element.single(Pair(head, tail), sign),)
+    head = Tensor(_rand_gens(model, rng, rng.randint(1, config.max_tensor_len), 1))
+    return _sym_draw([Tensor(_rand_gens(model, rng, rng.randint(1, 2), 1))
+                      for _ in range(rng.randint(0, config.max_tail_factors))], head)
+
+
+# ---------------------------------------------------------------------------
+# the suite table: rows (check_id, inputs, check)
+# ---------------------------------------------------------------------------
+
+def _suite(*rows):
+    """The builder of the suite of these rows, on one model per build: a
+    FormsModel for a forms suite, None for a formal one."""
+    def build(config):
+        model = FormsModel(config.n_coords) if config.model == "forms" else None
+        return [Instance(check_id, text, partial(check, model, *args))
+                for check_id, inputs, check in rows for text, args in inputs(model, config)]
+    return build
+
+
+def _draws(salt, sample):
+    """Inputs of config.samples draws: draw k is sample(model, rng, config)
+    with rng = _rng(config, k, salt), its text the elements' texts joined by
+    "; ".  A draw that vanished is skipped."""
+    def inputs(model, config):
+        for k in range(config.samples):
+            args = sample(model, _rng(config, k, salt), config)
+            if args is not None:
+                yield "; ".join(map(element_to_text, args)), args
+    return inputs
+
+
+def _shuffle_splits(model, config):
+    """Every split p + q = n, 2 <= n <= max_tensor_len, of every word of
+    generators of base degree 1 to 3."""
+    for n in range(2, config.max_tensor_len + 1):
+        for pattern in itertools.product((0, 1, 2), repeat=n):
+            atoms = _x_word(d + 1 for d in pattern).factors
+            for p in range(1, n):
+                yield ("p=%d q=%d degs=%s" % (p, n - p, list(pattern)),
+                       (Tensor(atoms[:p]), Tensor(atoms[p:])))
+
+
+def _x_words(model, config):
+    """Every word of length 1 to max_tensor_len of generators of base degree 2 to 4."""
+    for n in range(1, config.max_tensor_len + 1):
+        for pattern in itertools.product((1, 2, 3), repeat=n):
+            yield "degs=%s" % list(pattern), (Element.single(_x_word(d + 1 for d in pattern)),)
+
+
+def _axiom_rows(*axioms):
+    return [(axiom.value, _draws(axiom.value, _sample_triple),
+             lambda model, *xs, axiom=axiom: axiom_defect(model, axiom, xs))
+            for axiom in axioms]
+
+
+def _law_row(law, sample, salt=None):
+    """The law on draws of sample, salted with the law's name unless given."""
+    return (law.value, _draws(salt or law.value, sample),
+            lambda model, elem: law_defect(law, elem))
+
+
+def _square(op, ctx, elem):
+    return op(ctx, op(ctx, elem))
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +406,13 @@ def _build_mutation_sanity(config):
                 return run()
         out.append(Instance("mutation:%s->%s" % (name, check), input_text, thunk, True))
 
-    model = _forms_model(config)
+    model = FormsModel(config.n_coords)
     a_u1, a_u2 = model.atom((1, 0), ()), model.atom((0, 1), ())
 
     def forms_pair(head_atoms, tail_lists):
         """A pair word over these atoms; its fixed tails never vanish."""
-        head = Tensor(tuple(Gen(a) for a in head_atoms))
-        sign, tail = sym_word([Tensor(tuple(Gen(a) for a in tl)) for tl in tail_lists], SHIFT2)
-        return Element.single(Pair(head, tail), sign)
+        return _sym_draw([Tensor(tuple(Gen(a) for a in tl)) for tl in tail_lists],
+                         Tensor(tuple(Gen(a) for a in head_atoms)))[0]
 
     # 1. mu_2 collapsed to the identity: the Leibniz coalgebra law fails.
     def mu2_run():
@@ -536,68 +488,76 @@ def _build_mutation_sanity(config):
     # 10. unsigned embedding: the mixed compatibility law fails.
     def embed_run():
         gens = [Gen(Generator("g%d" % i, d)) for i, d in enumerate((1, 2, 3, 4))]
-        sign, tail = sym_word([Tensor((gens[2],)), Tensor((gens[3],))], SHIFT2)
-        e = Element.single(Pair(Tensor((gens[0], gens[1])), tail), sign)
+        (e,) = _sym_draw([Tensor((gens[2],)), Tensor((gens[3],))], Tensor((gens[0], gens[1])))
         return law_defect(LawId.COMPAT_2, e)
     add("embed_unsigned", "compat_2", "P(T(g0,g1); S(T(g2),T(g3)))", embed_run)
 
     return out
 
 
-# The envelope checks name the maps they call inside lambdas, so each name is
-# looked up when an instance runs, as a call in a thunk body is: a function
-# object captured at import would bypass a wrapper bound to the module name
-# later (perfbench's tracer wraps the package's functions that way).
+# Each check names the maps it calls inside a lambda, so each name is looked up
+# when an instance runs: a function object captured at import would bypass a
+# wrapper bound to the module name later (perfbench's tracer wraps the
+# package's functions that way).
 SUITE_SPECS = {
-    "zinbiel-axioms": SuiteSpec(_axiom_suite([AxiomId.ZINBIEL]), "forms", samples=200),
-    "prelie-axioms": SuiteSpec(_axiom_suite([AxiomId.PRELIE]), "forms", samples=200),
-    "compat": SuiteSpec(_axiom_suite([AxiomId.COMPAT_A, AxiomId.COMPAT_B, AxiomId.COMPAT_C]),
+    "zinbiel-axioms": SuiteSpec(_suite(*_axiom_rows(AxiomId.ZINBIEL)), "forms", samples=200),
+    "prelie-axioms": SuiteSpec(_suite(*_axiom_rows(AxiomId.PRELIE)), "forms", samples=200),
+    "compat": SuiteSpec(_suite(*_axiom_rows(AxiomId.COMPAT_A, AxiomId.COMPAT_B,
+                                            AxiomId.COMPAT_C)), "forms", samples=200),
+    "aguiar": SuiteSpec(_suite(*_axiom_rows(AxiomId.AGUIAR_1, AxiomId.AGUIAR_2)),
                         "forms", samples=200),
-    "aguiar": SuiteSpec(_axiom_suite([AxiomId.AGUIAR_1, AxiomId.AGUIAR_2]),
-                        "forms", samples=200),
-    "gerst-derived": SuiteSpec(_axiom_suite([AxiomId.DERIVED_1, AxiomId.DERIVED_2,
-                                             AxiomId.LEIBNIZ_GERST]),
+    "gerst-derived": SuiteSpec(_suite(*_axiom_rows(AxiomId.DERIVED_1, AxiomId.DERIVED_2,
+                                                   AxiomId.LEIBNIZ_GERST)),
                                "forms", samples=200),
-    "mu-shuffle-lemma": SuiteSpec(_build_mu_shuffle, "formal", max_tensor_len=6),
-    "leibniz-coalgebra": SuiteSpec(_build_leibniz, "formal", max_tensor_len=5),
-    "perm-coalgebra": SuiteSpec(_law_on_formal_pairs(LawId.PERM_COALG), "formal",
-                                samples=100, max_tensor_len=3, max_tail_factors=2),
-    "kappa-cojacobi": SuiteSpec(_build_kappa_cojacobi, "formal",
-                                samples=100, max_tensor_len=3, max_tail_factors=2),
-    "kappa-compat": SuiteSpec(_law_on_formal_pairs(LawId.COMPAT_1, LawId.COMPAT_2,
-                                                   LawId.COMPAT_3), "formal",
-                              samples=100, max_tensor_len=3, max_tail_factors=2),
+    "mu-shuffle-lemma": SuiteSpec(
+        _suite(("mu_shuffle", _shuffle_splits,
+                lambda model, left, right: mu_shuffle(left, right, SHIFT1))),
+        "formal", max_tensor_len=6),
+    "leibniz-coalgebra": SuiteSpec(
+        _suite(("leibniz_coalg", _x_words,
+                lambda model, elem: law_defect(LawId.LEIBNIZ_COALG, elem))),
+        "formal", max_tensor_len=5),
+    "perm-coalgebra": SuiteSpec(_suite(_law_row(LawId.PERM_COALG, _sample_formal_pair)),
+                                "formal", samples=100, max_tensor_len=3, max_tail_factors=2),
+    "kappa-cojacobi": SuiteSpec(_suite(_law_row(LawId.KAPPA_COJACOBI, _sample_formal_pair),
+                                       _law_row(LawId.KAPPA_COSYM, _sample_formal_sym, "cosym")),
+                                "formal", samples=100, max_tensor_len=3, max_tail_factors=2),
+    "kappa-compat": SuiteSpec(_suite(*(_law_row(law, _sample_formal_pair) for law in
+                                       (LawId.COMPAT_1, LawId.COMPAT_2, LawId.COMPAT_3))),
+                              "formal", samples=100, max_tensor_len=3, max_tail_factors=2),
     "r2-prelie": SuiteSpec(
-        _envelope_suite("r2_prelie", _sample_tensor_words(3, 2, 2),
-                        lambda ctx, *xs: r2_prelie_defect(ctx, *xs)),
+        _suite(("r2_prelie", _draws("", _sample_tensor_words(3, 2, 2)),
+                lambda model, *xs: r2_prelie_defect(EnvelopeContext(model), *xs))),
         "forms", samples=100),
     "r2-derivation": SuiteSpec(
-        _envelope_suite("r2_derivation", _sample_tensor_words(3, 2),
-                        lambda ctx, *xs: r2_derivation_defect(ctx, *xs)),
+        _suite(("r2_derivation", _draws("", _sample_tensor_words(3, 2)),
+                lambda model, *xs: r2_derivation_defect(EnvelopeContext(model), *xs))),
         "forms", samples=100),
     "zinf-square": SuiteSpec(
-        _envelope_suite("zinf_square", _sample_tensor_words(None),
-                        lambda ctx, e: _square(zinfinity_d, ctx, e)),
+        _suite(("zinf_square", _draws("", _sample_tensor_words(None)),
+                lambda model, e: _square(zinfinity_d, EnvelopeContext(model), e))),
         "forms", samples=50, max_tensor_len=4),
     "prelinf-square": SuiteSpec(
-        _envelope_suite("prelinf_square", _sample_generator_pair,
-                        lambda ctx, e: _square(prelie_envelope_q, ctx, e)),
+        _suite(("prelinf_square", _draws("", _sample_generator_pair),
+                lambda model, e: _square(prelie_envelope_q, EnvelopeContext(model), e))),
         "forms", samples=50),
     "linf-square": SuiteSpec(
-        _envelope_suite("linf_square", _sample_generator_sym,
-                        lambda ctx, e: _square(l_infinity_q, ctx, e)),
+        _suite(("linf_square", _draws("", _sample_generator_sym),
+                lambda model, e: _square(l_infinity_q, EnvelopeContext(model), e))),
         "forms", samples=50),
     "q-coderiv-delta": SuiteSpec(
-        _envelope_suite("coderiv_delta_Q", _sample_forms_pair,
-                        lambda ctx, e: coderivation_defect(ctx, q_total, delta_perm, 0, e)),
+        _suite(("coderiv_delta_Q", _draws("", _sample_forms_pair),
+                lambda model, e: coderivation_defect(EnvelopeContext(model), q_total,
+                                                     delta_perm, 0, e))),
         "forms", samples=50, max_tensor_len=2, max_tail_factors=2),
     "q-coderiv-kappa": SuiteSpec(
-        _envelope_suite("coderiv_kappa_Q", _sample_forms_pair,
-                        lambda ctx, e: coderivation_defect(ctx, q_total, kappa, 1, e)),
+        _suite(("coderiv_kappa_Q", _draws("", _sample_forms_pair),
+                lambda model, e: coderivation_defect(EnvelopeContext(model), q_total,
+                                                     kappa, 1, e))),
         "forms", samples=50, max_tensor_len=2, max_tail_factors=2),
     "q-square": SuiteSpec(
-        _envelope_suite("q_square", _sample_forms_pair,
-                        lambda ctx, e: _square(q_total, ctx, e)),
+        _suite(("q_square", _draws("", _sample_forms_pair),
+                lambda model, e: _square(q_total, EnvelopeContext(model), e))),
         "forms", samples=50, max_tensor_len=2, max_tail_factors=2),
     "mutation-sanity": SuiteSpec(_build_mutation_sanity, "forms"),
 }

@@ -1,12 +1,16 @@
 """The command-line surface: eval grammar, verify reports, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
+from pregerst import cli
 from pregerst.cli import _OPS, main
+from pregerst.suites import SUITE_NAMES, SuiteConfig
 from pregerst.grading import SHIFT1
 from pregerst.words import Element, mu
 
@@ -154,10 +158,33 @@ def test_verify_failing_suite_exits_one(capsys):
 
 
 def test_verify_incompatible_model(capsys):
-    code, _, err = run_cli(
-        ["verify", "--suite", "zinbiel-axioms", "--model", "formal"], capsys)
-    assert code == 2
-    assert "model" in err
+    # a suite runs on its own model, so verify has no option to name another
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "zinbiel-axioms", "--model", "formal"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --model" in capsys.readouterr().err
+
+
+def test_verify_defaults_are_the_suite_configs(monkeypatch):
+    """verify states no default of its own: every SuiteConfig field has a
+    flag that is unset when left out, so the config of a bare --suite is
+    SuiteConfig's own."""
+    given = []
+
+    def capture(config):
+        given.append(config)
+        raise ValueError("captured")
+
+    monkeypatch.setattr(cli, "run_suite", capture)
+    for suite in SUITE_NAMES:
+        assert main(["verify", "--suite", suite]) == 2
+        assert given[-1] == SuiteConfig(suite)
+        assert given[-1].resolved() == SuiteConfig(suite).resolved()
+    verify = cli._build_parser()._subparsers._group_actions[0].choices["verify"]
+    flags = {a.dest: a.default for a in verify._actions}
+    names = {f.name for f in fields(SuiteConfig)}
+    assert names <= set(flags)
+    assert {name: flags[name] for name in names} == dict.fromkeys(names, argparse.SUPPRESS)
 
 
 def test_verify_out_file(tmp_path, capsys):

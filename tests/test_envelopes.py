@@ -27,7 +27,7 @@ from pregerst.errors import SchemaError
 from pregerst.grading import SHIFT1, SHIFT2, Generator
 from pregerst.models import FormalModel, FormsModel
 from pregerst.mutations import mutant
-from pregerst.suites import _rand_formal_pair
+from pregerst.suites import SuiteConfig, _sample_formal_pair
 from pregerst.words import (
     Element,
     Gen,
@@ -232,9 +232,11 @@ def test_free_model_probe_of_the_coderivation_laws():
     tail."""
     ctx = EnvelopeContext(FormalModel())
     kappa_mu = partial(kappa, mu_legs=True)
+    # heads of 1 to 3 generators, 0 to 2 tail factors of 1 or 2 each
+    config = SuiteConfig("perm-coalgebra", max_tensor_len=3, max_tail_factors=2)
     head3, tailed, m_kappa, m_kappa_mu, r_kappa = set(), set(), set(), set(), set()
     for s in range(1000, 1200):
-        elem = _rand_formal_pair(random.Random(s), 3, 2, 2)
+        (elem,) = _sample_formal_pair(None, random.Random(s), config)
         (word,) = elem.terms
         if len(word.head.factors) == 3:
             head3.add(s)

@@ -30,8 +30,9 @@ def test_suite_registry_names():
 def test_unknown_suite_and_model_mismatch():
     with pytest.raises(ValueError):
         SuiteConfig(suite="nope").resolved()
-    with pytest.raises(ValueError):
-        SuiteConfig(suite="zinbiel-axioms", model="formal").resolved()
+    # the model is the suite's own, so no config can ask for another
+    with pytest.raises(TypeError):
+        SuiteConfig(suite="zinbiel-axioms", model="formal")
     with pytest.raises(ValueError):
         SuiteConfig(suite="q-square", samples=0).resolved()
 
@@ -116,8 +117,8 @@ def test_run_suite_restores_the_term_cap():
 
 def test_mutation_sanity_runs_on_forms_only():
     assert SuiteConfig("mutation-sanity").resolved().model == "forms"
-    with pytest.raises(ValueError):
-        SuiteConfig("mutation-sanity", model="formal").resolved()
+    with pytest.raises(TypeError):
+        SuiteConfig("mutation-sanity", model="formal")
 
 
 def test_empty_run_has_no_verdict():

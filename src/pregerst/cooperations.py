@@ -8,7 +8,8 @@ Five coproducts live here:
   over proper two-block splits.
 * delta_perm    - the permutative coproduct on pair words: the tail splits,
   the head keeps the first block, the second leg is re-expressed as a sum of
-  pair words through the symmetric-to-pair embedding.
+  pair words through the symmetric-to-pair embedding: each factor of the
+  second block in turn heads it.
 * kappa_prime   - the symmetrised cocrochet on symmetric words whose factors
   are tensor words: one factor is cut, the two halves distribute over the two
   legs in both orders.
@@ -45,7 +46,11 @@ body's through words._image, an embedding, a sym_insert or a mu through
 words._memo.  Each public call, and each law_defect call, makes one Context,
 so each image is computed once per distinct argument in the whole law.
 _extend_in applies delta_perm or kappa with a Context of the caller's:
-coderivation_defect reads both its coproducts' images from one.
+coderivation_defect reads both its coproducts' images from one.  delta_perm's
+body reads no embedding: one table per odd-degree pattern of the tail,
+_perm_table, lists each split with the terms of its embedded second block,
+each term's sign the split's times the embedding's (words._embed_signs), and
+the body builds each proper sub-tail once per word.
 
 delta_perm, kappa_prime_sym and kappa assume that the symmetric words they
 split are in canonical order: the parts of a canonical tail are canonical
@@ -73,6 +78,7 @@ from .words import (
     _add_signed,
     _add_term,
     _cosplit_into,
+    _embed_signs,
     _image,
     _memo,
     canonical_term,
@@ -123,6 +129,24 @@ def _split_table(parities, nonempty_first=False, nonempty_second=False):
     return tuple((left, right, rearrangement_sign(parities, left + right))
                  for left, right in _ordered_partitions(
                      len(parities), nonempty_first, nonempty_second))
+
+
+@lru_cache(maxsize=None)
+def _perm_table(parities):
+    """For delta_perm, its splits and embedding in one: (subsets, rows).
+    subsets lists the proper subsets of the tail's positions.  rows holds, for
+    each split (I, J) of the tail with J nonempty, the index of I in subsets
+    and, for each j of J in order, (j, index of J minus j, sign of the order
+    I + J times the embedding's sign of moving j to the front of J)."""
+    n = len(parities)
+    subsets = [s for k in range(n) for s in combinations(range(n), k)]
+    index = {s: i for i, s in enumerate(subsets)}
+    rows = []
+    for left, right, sign in _split_table(parities, nonempty_second=True):
+        signs = _embed_signs(tuple(map(parities.__getitem__, right)))
+        rows.append((index[left], tuple((j, index[right[:h] + right[h + 1:]], sign * signs[h])
+                                        for h, j in enumerate(right))))
+    return tuple(subsets), tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -245,12 +269,13 @@ def _delta_perm_word(ctx, word, view, mu_legs):
     if word is None:
         return out
     factors = word.tail.factors
-    parities = tuple(f.degrees[view] & 1 for f in factors)
-    for left, right, sign in _split_table(parities, nonempty_second=True):
-        leg1 = Pair(word.head, Sym(tuple(map(factors.__getitem__, left))))
-        leg2_sym = Sym(tuple(map(factors.__getitem__, right)))
-        for w, c in _memo(ctx, embed_sym_into_pair, leg2_sym, view).terms.items():
-            _add_term(out, (leg1, w), coeff * sign * c)
+    at = factors.__getitem__
+    subsets, rows = _perm_table(tuple([f.degrees[view] & 1 for f in factors]))
+    syms = [Sym(tuple(map(at, s))) for s in subsets]    # each sub-tail once
+    for left, terms in rows:
+        leg1 = Pair(word.head, syms[left])
+        for j, rest, sign in terms:
+            _add_term(out, (leg1, Pair(factors[j], syms[rest])), coeff * sign)
     return out
 
 
@@ -347,13 +372,16 @@ def kappa_prime(elem: Element, view: GradingView = SHIFT2,
 
 def _kappa_word(ctx, word, view, mu_legs):
     if not isinstance(word, Pair) or not isinstance(word.head, Tensor):
-        raise SchemaError("kappa expects pair words with tensor heads")
+        raise SchemaError("kappa expects pair words of tensor words")
     out = {}
     word, coeff = canonical_term(word, 1, word.tail.factors, view)
     if word is None:
         return out
     head = word.head
     tail = word.tail.factors
+    # a canonical tail is sorted by kind first, so its ends tell its kinds
+    if tail and not type(tail[0]) is Tensor is type(tail[-1]):
+        raise SchemaError("kappa expects pair words of tensor words")
     tparities = tuple(f.degrees[view] & 1 for f in tail)
     for upart, vpart in _cuts(head):
         up = upart.degrees[view] & 1

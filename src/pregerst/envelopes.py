@@ -423,8 +423,9 @@ def coderivation_defect(ctx: EnvelopeContext, q, coproduct, cop_degree: int,
     cocrochet (the unsigned form fails for m, which pins the sign).  The
     (id x Q) leg always carries the Koszul sign of moving a degree-one map
     past the first leg.  The three sides are added into one signed sum, q
-    runs once per distinct leg word across both legs, and both coproducts
-    read their images (embeddings, sym_inserts) from the Context of the call.
+    runs once per distinct leg word across both legs, and kappa reads its
+    images (embeddings, sym_inserts) from the Context of the call; delta_perm
+    embeds nothing, reading its signs from a table per tail parity pattern.
     elem's schema is checked once: m_map, r_map and q_total (past any
     wrapper) run as their lift bodies on e and on each leg word, and any
     other q is called as it is.

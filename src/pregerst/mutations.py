@@ -65,9 +65,10 @@ PATCHES = {
     # the differential-forms wedge loses its 1/degree scalar.
     "wedge_scale_drop": Patch("models", "FormsModel._wedge_into",
                               "scale = 1 if b.degree == 1 else _inverse(b.degree)", "scale = 1"),
-    # the symmetric-word-to-pair-word embedding loses its Koszul signs.
-    "embed_unsigned": Patch("words", "embed_sym_into_pair",
-                            "sign = SIGN[odd & moved]", "sign = 1"),
+    # the symmetric-word-to-pair-word embedding loses its Koszul signs (its
+    # sign table, read by the embedding itself and by delta_perm's table).
+    "embed_unsigned": Patch("words", "_embed_signs",
+                            "signs.append(SIGN[odd & moved])", "signs.append(1)"),
 }
 
 ALL_MUTATION_NAMES = list(PATCHES)

@@ -50,7 +50,7 @@ keys with their signs) add into a sum, a plain dict key -> coefficient: a
 new key is stored as it comes and checked against the term cap, an old one
 is added to and dropped once it sums to zero.  Element.add_term skips a zero
 coefficient and calls _add_term; _cosplit_into, the coproduct bodies, the
-lift and the model kernels call it directly.
+embedding, the lift and the model kernels call it directly.
 
 mu and the shuffles add coeff * sign at each key of a term through
 _add_signed.  A key is a factor tuple placed by a cached itemgetter, or the
@@ -65,7 +65,9 @@ mu_n's terms on it, and the signed coefficients go into a second dict; any
 other tuple is placed into the first, and each dict checks the cap against
 both.  Only the terms that survive become Tensor words.  The code tables,
 like the sign tables, hold operator data only and are lru_caches, so mutant
-clears them.
+clears them.  The embedding's signs are such a table too: _embed_signs holds
+one sign per head for each odd-degree pattern, and delta_perm's table reads
+it.
 
 Rows.  _relation_defect is the one evaluator of an identity given as a row
 of signed sides, compiled once by _relation_row: each side's sign is a
@@ -925,20 +927,33 @@ def sym_product(a: Element, b: Element, view: GradingView) -> Element:
     return out
 
 
+@lru_cache(maxsize=None)
+def _embed_signs(parities):
+    """The embedding's sign for each head h, on factors with these
+    parities: the Koszul sign of moving factor h to the front."""
+    signs = []
+    moved = 0      # parity of the odd factors before the head
+    for odd in parities:
+        signs.append(SIGN[odd & moved])
+        moved ^= odd
+    return tuple(signs)
+
+
 def embed_sym_into_pair(word: Sym, view: GradingView) -> Element:
     """Identify a symmetric word with a sum of pair words: each factor takes a
     turn as the head, signed by moving it to the front; the remaining factors
     stay as the tail.  One term per factor before normalization."""
     factors = word.factors
+    out = Element()
+    terms = out.terms
+    if len(factors) == 1:       # the one term, with no sign to read
+        _add_term(terms, Pair(factors[0], EMPTY_SYM), 1)
+        return out
     if not factors:
         raise SchemaError("cannot embed the empty symmetric word")
-    moved = 0      # parity of the odd factors before the head
-    out = Element()
+    signs = _embed_signs(tuple([f.degrees[view] & 1 for f in factors]))
     for h, f in enumerate(factors):
-        odd = f.degrees[view] & 1
-        sign = SIGN[odd & moved]
-        moved ^= odd
-        out.add_term(Pair(f, Sym(factors[:h] + factors[h + 1:])), sign)
+        _add_term(terms, Pair(f, Sym(factors[:h] + factors[h + 1:])), signs[h])
     return out
 
 

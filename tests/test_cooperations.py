@@ -29,6 +29,7 @@ from pregerst.words import (
     element_to_text,
     embed_element,
     embed_sym_into_pair,
+    normalize,
     sym_word,
 )
 
@@ -132,6 +133,82 @@ def test_delta_perm_matches_block_enumeration():
                 expected.add_term(
                     (Pair(Tensor((head,)), t1), Pair(mid, t2)), sign * sgn * s1 * s2)
         assert delta_perm(elem) == expected
+
+
+def perm_by_split_then_embed(elem, view):
+    """delta_perm written out on the normal form of elem: every ordered split
+    (I, J) of the tail with J nonempty, signed by the inversions of I + J
+    between odd factors, then each j of J moved to the front of J, signed
+    when j is odd by the odd factors of J it passes."""
+    out = Element()
+    for word, coeff in normalize(elem, view).items():
+        tail = word.tail.factors
+        n = len(tail)
+        odd = [degree(f, view) & 1 for f in tail]
+        for k in range(n):      # |I| = k, so J is never empty
+            for left in itertools.combinations(range(n), k):
+                right = [i for i in range(n) if i not in left]
+                order = list(left) + right
+                inversions = sum(odd[order[a]] & odd[order[b]]
+                                 for a in range(n) for b in range(a + 1, n)
+                                 if order[a] > order[b])
+                s1, tail_i = sym_word([tail[i] for i in left], view)
+                for h, j in enumerate(right):
+                    passed = odd[j] * sum(odd[i] for i in right[:h])
+                    s2, rest = sym_word([tail[i] for i in right[:h] + right[h + 1:]], view)
+                    out.add_term((Pair(word.head, tail_i), Pair(tail[j], rest)),
+                                 coeff * (-1) ** (inversions + passed) * s1 * s2)
+    return out
+
+
+def pair_with_tail_parities(parities, view):
+    """P(T(h); S(T(t0), ..., T(tn))) whose tail factors have these parities
+    in the view, in canonical order as given."""
+    reg = GeneratorRegistry()
+    shift = 1 if view == SHIFT1 else 2
+    facs = [Tensor((Gen(reg.declare("t%d" % i, shift + p + 2 * (i % 2))),))
+            for i, p in enumerate(parities)]
+    sign, tail = sym_word(facs, view)
+    assert (sign, tail.factors) == (1, tuple(facs))
+    assert [degree(f, view) & 1 for f in tail.factors] == list(parities)
+    return Element.single(Pair(Tensor((Gen(reg.declare("h", 3)),)), tail))
+
+
+def perm_reference_inputs():
+    """(label, view, element): every parity pattern of canonical tails of up
+    to five factors in both views, then a non-canonical tail, a repeated even
+    factor, generator tail factors and an empty tail."""
+    for view in (SHIFT1, SHIFT2):
+        for n in range(6):
+            for parities in itertools.product((0, 1), repeat=n):
+                yield parities, view, pair_with_tail_parities(parities, view)
+    a, b, c, e, f = make_gens([("a", 3), ("b", 3), ("c", 2), ("e", 4), ("f", 5)])
+    # T(b), T(a), T(c, e) in this order is not canonical; deg' 1, 1, 3
+    yield "non-canonical", SHIFT2, Element.single(
+        Pair(Tensor((f,)), Sym((Tensor((b,)), Tensor((a,)), Tensor((c, e))))), -1)
+    sign, tail = sym_word([Tensor((c,)), Tensor((c,)), Tensor((a,)), Tensor((b,))], SHIFT2)
+    yield "repeated even factor", SHIFT2, Element.single(Pair(Tensor((f,)), tail), sign)
+    sign, tail = sym_word([a, b, c], SHIFT2)
+    yield "generator tail", SHIFT2, Element.single(Pair(e, tail), sign)
+    yield "empty tail", SHIFT2, Element.single(Pair(Tensor((a, b)), Sym(())))
+
+
+def test_delta_perm_equals_split_then_embed():
+    nonzero = 0
+    for label, view, elem in perm_reference_inputs():
+        out = delta_perm(elem, view)
+        assert out == perm_by_split_then_embed(elem, view), label
+        nonzero += not out.is_zero()
+    # every input but the three with an empty tail has a nonzero image
+    assert nonzero == 2 * 63 + 4 - 2 - 1
+    # under an unsigned embedding the two differ exactly where an odd
+    # factor of J can pass another odd one: on every tail with two of them
+    with mutant("embed_unsigned"):
+        differ = [label for label, view, elem in perm_reference_inputs()
+                  if delta_perm(elem, view) != perm_by_split_then_embed(elem, view)]
+    two_odd = [label for label, _, _ in perm_reference_inputs()
+               if isinstance(label, tuple) and sum(label) >= 2]
+    assert differ == two_odd + ["non-canonical", "repeated even factor", "generator tail"]
 
 
 def test_kappa_prime_values():

@@ -262,6 +262,8 @@ def test_coderivation_defect_applies_q_once_per_distinct_leg_word():
 
 
 def test_coderivation_defect_embeds_each_tail_once_per_call(monkeypatch):
+    """kappa embeds each distinct word once per call; delta_perm reads its
+    embedding signs from its own table and embeds nothing."""
     embed = cooperations.embed_sym_into_pair
     calls = Counter()
 
@@ -276,11 +278,12 @@ def test_coderivation_defect_embeds_each_tail_once_per_call(monkeypatch):
         elem = rand_pair(model, rng)
         if elem is None:
             continue
-        for cop, cop_degree in ((delta_perm, 0), (kappa, 1)):
-            calls.clear()
-            coderivation_defect(EnvelopeContext(model), q_total, cop, cop_degree, elem)
-            assert set(calls.values()) <= {1}
-            embedded += len(calls)
+        calls.clear()
+        coderivation_defect(EnvelopeContext(model), q_total, delta_perm, 0, elem)
+        assert not calls
+        coderivation_defect(EnvelopeContext(model), q_total, kappa, 1, elem)
+        assert set(calls.values()) <= {1}
+        embedded += len(calls)
     assert embedded > 100
 
 

@@ -9,7 +9,9 @@ image is computed, and check that nothing of one evaluation reaches the next.
 
 import collections
 import gc
+import itertools
 import random
+import sys
 
 import pytest
 
@@ -238,6 +240,48 @@ def test_each_image_is_computed_once_per_distinct_argument(monkeypatch):
     per_name = collections.Counter(key[0] for key in calls)
     assert per_name == {"embed_sym_into_pair": 128, "sym_insert": 269,
                         "_kappa_word": 145, "_kappa_prime_sym_word": 57}
+
+
+def perm_patterns(elem, law):
+    """The parity patterns of the tails delta_perm splits in the law: elem's
+    tails and, where delta_perm runs again at leg 1 of its own result, the
+    tails J minus j of those legs, which are the shorter sub-sequences."""
+    out = set()
+    for word in elem.terms:
+        odd = tuple(f.degrees[SHIFT2] & 1 for f in word.tail.factors)
+        out.add(odd)
+        if law is LawId.PERM_COALG:
+            out.update(sub for k in range(len(odd)) for sub in itertools.combinations(odd, k))
+    return out
+
+
+def test_delta_perm_embeds_nothing_and_adds_one_table_entry_per_parity_pattern(monkeypatch):
+    embed = co.embed_sym_into_pair
+    perm_body = co._delta_perm_word.__code__
+    calls = collections.Counter()   # embeddings, by whether delta_perm's body made them
+
+    def counted(word, view):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not perm_body:
+            frame = frame.f_back
+        calls[frame is not None] += 1
+        return embed(word, view)
+    monkeypatch.setattr(co, "embed_sym_into_pair", counted)
+    co._perm_table.cache_clear()
+    rng = random.Random(1618)
+    seen = set()
+    for law in (LawId.PERM_COALG, LawId.COMPAT_1):
+        for _ in range(12):
+            elem = rand_pair(rng)
+            new = perm_patterns(elem, law) - seen
+            before = co._perm_table.cache_info().currsize
+            law_defect(law, elem)
+            assert co._perm_table.cache_info().currsize - before == len(new), (law, elem)
+            seen |= new
+    info = co._perm_table.cache_info()
+    assert info.misses == info.currsize == len(seen) and info.hits > 0
+    # kappa, in compat_1, still embeds through the same name
+    assert calls[True] == 0 and calls[False] > 0
 
 
 def test_no_state_outlives_a_law():

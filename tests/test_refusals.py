@@ -57,6 +57,16 @@ def test_cocrochet_refusal_names_the_map_called(capsys):
     assert err == "error: cocrochet_lie expects tensor words\n"
 
 
+def test_kappa_refusal_of_a_generator_tail_factor_names_kappa(capsys):
+    code = main(["eval", "--op", "kappa", "--expr", "1/1 * P(T(a,b); S(c))",
+                 "--gens", "a:2,b:2,c:2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: kappa expects pair words of tensor words\n"
+    with pytest.raises(SchemaError, match="^kappa expects"):
+        kappa(Element.single(Pair(Tensor((A,)), Sym((B,)))))
+
+
 def test_kappa_prime_sym_of_a_word_whose_normal_form_is_zero():
     # T(a,b) has odd degree' 1, so the symmetric square is zero; as built
     # here it is not in canonical form and kappa_prime_sym normalizes it

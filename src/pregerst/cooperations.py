@@ -49,7 +49,7 @@ _extend_in applies delta_perm or kappa with a Context of the caller's:
 coderivation_defect reads both its coproducts' images from one.  delta_perm's
 body reads no embedding: one table per odd-degree pattern of the tail,
 _perm_table, lists each split with the terms of its embedded second block,
-each term's sign the split's times the embedding's (words._embed_signs), and
+each term's sign the split's times the embedding's (words._embed_sign), and
 the body builds each proper sub-tail once per word.
 
 delta_perm, kappa_prime_sym and kappa assume that the symmetric words they
@@ -78,7 +78,7 @@ from .words import (
     _add_signed,
     _add_term,
     _cosplit_into,
-    _embed_signs,
+    _embed_sign,
     _image,
     _memo,
     canonical_term,
@@ -142,10 +142,15 @@ def _perm_table(parities):
     subsets = [s for k in range(n) for s in combinations(range(n), k)]
     index = {s: i for i, s in enumerate(subsets)}
     rows = []
-    for left, right, sign in _split_table(parities, nonempty_second=True):
-        signs = _embed_signs(tuple(map(parities.__getitem__, right)))
-        rows.append((index[left], tuple((j, index[right[:h] + right[h + 1:]], sign * signs[h])
-                                        for h, j in enumerate(right))))
+    for left, right in _ordered_partitions(n, nonempty_second=True):
+        sign = rearrangement_sign(parities, left + right)
+        terms = []
+        moved = 0      # parity of the odd factors of J before j
+        for h, j in enumerate(right):
+            terms.append((j, index[right[:h] + right[h + 1:]],
+                          sign * _embed_sign(parities[j], moved)))
+            moved ^= parities[j]
+        rows.append((index[left], tuple(terms)))
     return tuple(subsets), tuple(rows)
 
 

@@ -66,9 +66,9 @@ PATCHES = {
     "wedge_scale_drop": Patch("models", "FormsModel._wedge_into",
                               "scale = 1 if b.degree == 1 else _inverse(b.degree)", "scale = 1"),
     # the symmetric-word-to-pair-word embedding loses its Koszul signs (its
-    # sign table, read by the embedding itself and by delta_perm's table).
-    "embed_unsigned": Patch("words", "_embed_signs",
-                            "signs.append(SIGN[odd & moved])", "signs.append(1)"),
+    # sign rule, read by the embedding itself and by delta_perm's table).
+    "embed_unsigned": Patch("words", "_embed_sign",
+                            "return SIGN[odd & moved]", "return 1"),
 }
 
 ALL_MUTATION_NAMES = list(PATCHES)

@@ -65,9 +65,9 @@ mu_n's terms on it, and the signed coefficients go into a second dict; any
 other tuple is placed into the first, and each dict checks the cap against
 both.  Only the terms that survive become Tensor words.  The code tables,
 like the sign tables, hold operator data only and are lru_caches, so mutant
-clears them.  The embedding's signs are such a table too: _embed_signs holds
-one sign per head for each odd-degree pattern, and delta_perm's table reads
-it.
+clears them.  The embedding's sign rule is written once, in _embed_sign,
+which the embedding reads for each head and delta_perm's cached table once
+per odd-degree pattern.
 
 Rows.  _relation_defect is the one evaluator of an identity given as a row
 of signed sides, compiled once by _relation_row: each side's sign is a
@@ -927,16 +927,11 @@ def sym_product(a: Element, b: Element, view: GradingView) -> Element:
     return out
 
 
-@lru_cache(maxsize=None)
-def _embed_signs(parities):
-    """The embedding's sign for each head h, on factors with these
-    parities: the Koszul sign of moving factor h to the front."""
-    signs = []
-    moved = 0      # parity of the odd factors before the head
-    for odd in parities:
-        signs.append(SIGN[odd & moved])
-        moved ^= odd
-    return tuple(signs)
+def _embed_sign(odd, moved):
+    """The embedding's sign for a head of parity odd behind factors of total
+    parity moved: the Koszul sign of moving it to the front.  The embedding
+    and delta_perm's table both read it."""
+    return SIGN[odd & moved]
 
 
 def embed_sym_into_pair(word: Sym, view: GradingView) -> Element:
@@ -944,16 +939,15 @@ def embed_sym_into_pair(word: Sym, view: GradingView) -> Element:
     turn as the head, signed by moving it to the front; the remaining factors
     stay as the tail.  One term per factor before normalization."""
     factors = word.factors
-    out = Element()
-    terms = out.terms
-    if len(factors) == 1:       # the one term, with no sign to read
-        _add_term(terms, Pair(factors[0], EMPTY_SYM), 1)
-        return out
     if not factors:
         raise SchemaError("cannot embed the empty symmetric word")
-    signs = _embed_signs(tuple([f.degrees[view] & 1 for f in factors]))
+    moved = 0      # parity of the odd factors before the head
+    out = Element()
+    terms = out.terms
     for h, f in enumerate(factors):
-        _add_term(terms, Pair(f, Sym(factors[:h] + factors[h + 1:])), signs[h])
+        odd = f.degrees[view] & 1
+        _add_term(terms, Pair(f, Sym(factors[:h] + factors[h + 1:])), _embed_sign(odd, moved))
+        moved ^= odd
     return out
 
 
